@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"demandrace/internal/httpapi"
 	"demandrace/internal/obs"
 	"demandrace/internal/obs/alert"
 	olog "demandrace/internal/obs/log"
@@ -49,9 +50,9 @@ type Config struct {
 	// MaxBodyBytes bounds request bodies buffered for replay (default
 	// 64 MiB, matching ddserved's trace cap).
 	MaxBodyBytes int64
-	// StatsTimeout bounds each per-backend fetch during /v1/stats and
-	// /v1/timeseries aggregation, so one hung backend cannot hold the
-	// fleet document hostage (default 2s). Unreachable backends are
+	// StatsTimeout bounds each per-backend fetch of the /v1/stats,
+	// /v1/alerts and /v1/timeseries fan-outs, so one hung backend cannot
+	// hold the fleet document hostage (default 2s). Unreachable backends are
 	// reported as partial results with a stats_errors count.
 	StatsTimeout time.Duration
 	// TSInterval and TSRetention shape the gateway's own metrics history
@@ -147,6 +148,7 @@ type Gateway struct {
 	alerts   *alert.Engine
 	replica  *replica.Replicator // nil when replication is off
 	tenants  *tenant.Registry    // nil when tenancy is off
+	api      httpapi.Tier
 	jobKeys  *keyIndex
 
 	stopOnce sync.Once
@@ -159,7 +161,6 @@ type Gateway struct {
 	// (see handleTraceOpen).
 	sessionSeq atomic.Uint64
 
-	cRequests  *obs.Counter
 	cForwards  *obs.Counter
 	cRetries   *obs.Counter
 	cHedges    *obs.Counter
@@ -196,7 +197,6 @@ func NewGateway(cfg Config) (*Gateway, error) {
 		}),
 		stop:       make(chan struct{}),
 		stopped:    make(chan struct{}),
-		cRequests:  cfg.Registry.Counter(obs.GateRequests),
 		cForwards:  cfg.Registry.Counter(obs.GateForwards),
 		cRetries:   cfg.Registry.Counter(obs.GateRetries),
 		cHedges:    cfg.Registry.Counter(obs.GateHedges),
@@ -236,12 +236,24 @@ func NewGateway(cfg Config) (*Gateway, error) {
 		Bus:      g.bus,
 		Log:      cfg.Log,
 	})
+	// Edge tenancy runs the same admission Registry ddserved runs at its
+	// queue, so a throttled submission is answered 429 before it costs a
+	// backend round trip. The API key is forwarded upstream untouched, so a
+	// backend running its own -tenants file enforces its queue share on top.
 	g.tenants = tenant.NewRegistry(cfg.Tenants, tenant.Options{
 		Prefix:   "ddgate_",
 		Capacity: 0, // no gateway queue: token buckets only at the edge
 		Registry: cfg.Registry,
 		Bus:      g.bus,
 	})
+	g.api = httpapi.Tier{
+		Registry:      cfg.Registry,
+		Log:           cfg.Log,
+		Requests:      cfg.Registry.Counter(obs.GateRequests),
+		LatencyPrefix: obs.GateHTTPLatencyPrefix,
+		SpanPrefix:    "gate:",
+		Tenants:       g.tenants,
+	}
 	// The gateway's alert engine watches its own registry's history: ring
 	// membership, per-backend probe health, partial fleet-stats views.
 	rules := cfg.AlertRules

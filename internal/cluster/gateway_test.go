@@ -382,3 +382,80 @@ func TestGatewayHealthEndpoint(t *testing.T) {
 		t.Fatalf("all-down health = %d %v, want 503 down", code, doc)
 	}
 }
+
+// TestGatewayTraceOptionsShareCacheKey: a trace uploaded twice with replay
+// options in its query routes to the ring owner of the backend's own cache
+// key, and the second upload is that backend's 200 cache hit — the gateway
+// and the backend parse the same options into the same key.
+func TestGatewayTraceOptionsShareCacheKey(t *testing.T) {
+	ctx := context.Background()
+	backends := make([]Backend, 3)
+	for i := range backends {
+		_, ts := startBackend(t)
+		backends[i] = Backend{Name: fmt.Sprintf("b%d", i+1), URL: ts.URL}
+	}
+	g, cl := newGateway(t, Config{Backends: backends})
+	raw := recordRacyTrace(t)
+	owner := g.Ring().Owner(service.TraceCacheKey(raw, service.TraceOptions{FullVC: true, MaxReports: 3}))
+
+	upload := func() (int, service.Status) {
+		t.Helper()
+		resp, err := http.Post(cl.BaseURL+"/v1/jobs?fullvc=1&max_reports=3",
+			service.TraceContentType, bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("trace upload: %v", err)
+		}
+		defer resp.Body.Close()
+		var st service.Status
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatalf("decoding upload status: %v", err)
+		}
+		return resp.StatusCode, st
+	}
+	_, first := upload()
+	if _, err := cl.Wait(ctx, first.ID); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	code, second := upload()
+	if code != http.StatusOK || !second.CacheHit {
+		t.Fatalf("second upload = %d %+v, want a 200 cache hit", code, second)
+	}
+	for _, st := range []service.Status{first, second} {
+		if name, _, _ := splitJobID(st.ID); name != owner {
+			t.Fatalf("upload %s routed away from the key's owner %s", st.ID, owner)
+		}
+	}
+}
+
+// TestGatewayErrorsCountUnreachableOwner: a status poll whose owner is
+// down is a gateway-made 502, counted in ddgate_errors_total.
+func TestGatewayErrorsCountUnreachableOwner(t *testing.T) {
+	ctx := context.Background()
+	_, ts1 := startBackend(t)
+	_, ts2 := startBackend(t)
+	g, cl := newGateway(t, Config{Backends: []Backend{
+		{Name: "b1", URL: ts1.URL},
+		{Name: "b2", URL: ts2.URL},
+	}})
+	st, err := cl.Submit(ctx, requestOwnedBy(t, g.Ring(), "b1"))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if _, err := cl.Wait(ctx, st.ID); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	before := g.reg.CounterValue(obs.GateErrors)
+	ts1.Close()
+
+	resp, err := http.Get(cl.BaseURL + "/v1/jobs/" + st.ID)
+	if err != nil {
+		t.Fatalf("GET job: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("poll with a dead owner = %d, want 502", resp.StatusCode)
+	}
+	if after := g.reg.CounterValue(obs.GateErrors); after != before+1 {
+		t.Fatalf("ddgate_errors_total = %d, want %d", after, before+1)
+	}
+}

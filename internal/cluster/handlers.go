@@ -9,52 +9,20 @@ import (
 	"mime"
 	"net/http"
 	"sort"
-	"strconv"
-	"sync"
-	"time"
+	"strings"
 
+	"demandrace/internal/httpapi"
 	"demandrace/internal/obs"
 	"demandrace/internal/obs/stream"
 	"demandrace/internal/obs/tracectx"
 	"demandrace/internal/obs/tsdb"
 	"demandrace/internal/service"
+	"demandrace/internal/tenant"
 )
 
-// route mirrors internal/service's route table: a mux pattern, the stable
-// key naming its latency histogram and stats row, the quiet flag that
-// demotes infrastructure-poll access logs to debug, and the stream flag
-// marking SSE routes that bypass latency accounting.
-type route struct {
-	pattern string
-	key     string
-	quiet   bool
-	stream  bool
-	handler http.HandlerFunc
-}
-
-func (g *Gateway) routes() []route {
-	return []route{
-		{"POST /v1/jobs", "post_jobs", false, false, g.handleSubmit},
-		{"POST /v1/traces", "post_traces", false, false, g.handleTraceOpen},
-		{"PUT /v1/traces/{id}/chunks/{seq}", "put_trace_chunk", false, false, g.handleTraceChunk},
-		{"GET /v1/traces/{id}", "get_trace_session", false, false, g.handleTraceSession},
-		{"POST /v1/traces/{id}/commit", "post_trace_commit", false, false, g.handleTraceCommit},
-		{"GET /v1/jobs/{id}", "get_job", false, false, g.handleJob},
-		{"GET /v1/jobs/{id}/trace", "get_job_trace", false, false, g.handleJobTrace},
-		{"GET /v1/jobs/{id}/partial", "get_job_partial", false, false, g.handlePartial},
-		{"GET /v1/results/{id}", "get_result", false, false, g.handleResult},
-		{"GET /v1/timeseries", "get_timeseries", true, false, g.handleTimeseries},
-		{"GET /v1/events", "get_events", true, true, g.handleEvents},
-		{"GET /v1/alerts", "get_alerts", true, false, g.handleAlerts},
-		{"GET /v1/dashboard", "get_dashboard", true, false, g.handleDashboard},
-		{"GET /v1/stats", "get_stats", true, false, g.handleStats},
-		{"GET /healthz", "healthz", true, false, g.handleHealth},
-		{"GET /metrics", "metrics", true, false, g.handleMetrics},
-	}
-}
-
 // Handler returns the gateway API — the same surface a single ddserved
-// node exposes, so service.Client and `ddrace -submit` work unchanged:
+// node exposes (internal/httpapi's route table, minus the fleet-internal
+// /v1/cache routes), so service.Client and `ddrace -submit` work unchanged:
 //
 //	POST /v1/jobs          route by content hash, failover + hedging
 //	GET  /v1/jobs/{id}     forwarded to the owning backend (id prefix)
@@ -63,69 +31,23 @@ func (g *Gateway) routes() []route {
 //	GET  /healthz          ring capacity (503 only when no backend routable)
 //	GET  /metrics          Prometheus text exposition of the gateway registry
 func (g *Gateway) Handler() http.Handler {
-	mux := http.NewServeMux()
-	for _, rt := range g.routes() {
-		mux.Handle(rt.pattern, g.instrument(rt))
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		g.cRequests.Inc()
-		mux.ServeHTTP(w, r)
-	})
-}
-
-// statusRecorder captures what a handler wrote, for the access log.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-	bytes  int
-}
-
-func (sr *statusRecorder) WriteHeader(code int) {
-	sr.status = code
-	sr.ResponseWriter.WriteHeader(code)
-}
-
-func (sr *statusRecorder) Write(b []byte) (int, error) {
-	n, err := sr.ResponseWriter.Write(b)
-	sr.bytes += n
-	return n, err
-}
-
-// instrument wraps one route with the span/latency/access-log stack,
-// mirroring the ddserved middleware so per-route dashboards read the same
-// on either tier.
-func (g *Gateway) instrument(rt route) http.Handler {
-	hist := g.reg.Histogram(obs.GateHTTPLatencyPrefix+rt.key, obs.LatencyBuckets)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		tc, _ := tracectx.FromHeader(r.Header.Get)
-		ctx := tracectx.Into(r.Context(), tc)
-		if rt.stream {
-			// SSE: raw writer (the recorder would hide http.Flusher), no
-			// latency histogram — a long tail is not a slow request.
-			g.log.Debug("event stream open", "path", r.URL.Path, "trace_id", tc.TraceID())
-			rt.handler(w, r.WithContext(ctx))
-			g.log.Debug("event stream closed", "path", r.URL.Path, "trace_id", tc.TraceID())
-			return
-		}
-		ctx, span := obs.StartSpan(ctx, "gate:"+rt.key)
-		span.SetAttr("trace_id", tc.TraceID())
-		span.ObserveInto(hist)
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		rt.handler(rec, r.WithContext(ctx))
-		dur := span.End()
-		logf := g.log.Info
-		if rt.quiet {
-			logf = g.log.Debug
-		}
-		logf("http request",
-			"method", r.Method,
-			"path", r.URL.Path,
-			"route", rt.key,
-			"status", rec.status,
-			"bytes", rec.bytes,
-			"dur_ms", float64(dur)/float64(time.Millisecond),
-			"trace_id", tc.TraceID(),
-		)
+	return g.api.Handler(map[string]http.HandlerFunc{
+		"post_jobs":         g.handleSubmit,
+		"post_traces":       g.handleTraceOpen,
+		"put_trace_chunk":   g.handleTraceChunk,
+		"get_trace_session": g.handleOwned,
+		"post_trace_commit": g.handleOwned,
+		"get_job":           g.handleOwned,
+		"get_job_trace":     g.handleJobTrace,
+		"get_job_partial":   g.handleOwned,
+		"get_result":        g.handleResult,
+		"get_timeseries":    g.handleTimeseries,
+		"get_events":        g.handleEvents,
+		"get_alerts":        g.handleAlerts,
+		"get_dashboard":     g.handleDashboard,
+		"get_stats":         g.handleStats,
+		"healthz":           g.handleHealth,
+		"metrics":           g.api.ServeMetrics,
 	})
 }
 
@@ -142,19 +64,12 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// Edge admission first: a throttled tenant is answered before its body
 	// is even read, let alone forwarded.
-	tn, admitted := g.admitTenant(w, r)
+	tn, admitted := g.api.AdmitTenant(w, r)
 	if !admitted {
 		return
 	}
-
-	body, err := io.ReadAll(io.LimitReader(r.Body, g.cfg.MaxBodyBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading request: %v", err))
-		return
-	}
-	if int64(len(body)) > g.cfg.MaxBodyBytes {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("cluster: request body exceeds %d bytes", g.cfg.MaxBodyBytes))
+	body, ok := g.readBody(w, r)
+	if !ok {
 		return
 	}
 
@@ -162,47 +77,24 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	ct, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
 	switch ct {
 	case service.TraceContentType, "application/octet-stream":
-		q := r.URL.Query()
-		opts := service.TraceOptions{FullVC: q.Get("fullvc") == "1" || q.Get("fullvc") == "true"}
-		if v := q.Get("max_reports"); v != "" {
-			opts.MaxReports, _ = strconv.Atoi(v)
-		}
-		key = service.TraceCacheKey(body, opts)
+		key = service.TraceCacheKey(body, service.ParseTraceOptions(r.URL.Query()))
 	default:
 		var req service.Request
 		if derr := json.Unmarshal(body, &req); derr != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", derr))
+			httpapi.WriteError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", derr))
 			return
 		}
 		if verr := req.Validate(); verr != nil {
 			// Reject at the edge: no reason to burn a backend round trip
 			// on a request every backend would 400.
-			writeError(w, http.StatusBadRequest, verr.Error())
+			httpapi.WriteError(w, http.StatusBadRequest, verr.Error())
 			return
 		}
 		key = req.CacheKey()
 	}
 
-	candidates := g.candidates(key)
-	if len(candidates) == 0 {
-		g.cErrors.Inc()
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "cluster: no healthy backends")
-		return
-	}
-	up, err := g.forward(r.Context(), candidates, func(base string) (*http.Request, error) {
-		req, err := http.NewRequest(http.MethodPost, base+"/v1/jobs?"+r.URL.RawQuery, bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", r.Header.Get("Content-Type"))
-		forwardAPIKey(req, r)
-		return req, nil
-	})
-	if err != nil {
-		g.cErrors.Inc()
-		g.log.Error("submission failed on every candidate", "key", key[:16], "error", err.Error())
-		writeError(w, http.StatusBadGateway, fmt.Sprintf("cluster: all backends failed: %v", err))
+	up, ok := g.routeByKey(w, r, key, body)
+	if !ok {
 		return
 	}
 	tc, _ := tracectx.From(r.Context())
@@ -224,11 +116,62 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	g.relay(w, up, true)
 }
 
-// handleJob forwards a status poll to the backend encoded in the ID. The
-// returned status is re-namespaced so clients that feed a polled status's
-// ID back into /v1/results keep working.
-func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
-	g.forwardToOwner(w, r, "/v1/jobs/", true)
+// readBody buffers a request body for forwarding, answering 400 or 413
+// itself (ok=false) when it cannot be read within MaxBodyBytes.
+func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, g.cfg.MaxBodyBytes+1))
+	if err != nil {
+		httpapi.WriteError(w, http.StatusBadRequest, fmt.Sprintf("reading request: %v", err))
+		return nil, false
+	}
+	if int64(len(body)) > g.cfg.MaxBodyBytes {
+		httpapi.WriteError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("cluster: request body exceeds %d bytes", g.cfg.MaxBodyBytes))
+		return nil, false
+	}
+	return body, true
+}
+
+// routeByKey forwards r to key's ring candidates with failover and
+// hedging. With no routable backend it answers 503 itself, and when every
+// candidate failed 502 (ok=false either way).
+func (g *Gateway) routeByKey(w http.ResponseWriter, r *http.Request, key string, body []byte) (upstream, bool) {
+	candidates := g.candidates(key)
+	if len(candidates) == 0 {
+		g.cErrors.Inc()
+		w.Header().Set("Retry-After", "1")
+		httpapi.WriteError(w, http.StatusServiceUnavailable, "cluster: no healthy backends")
+		return upstream{}, false
+	}
+	up, err := g.forward(r.Context(), candidates, proxyRequest(r, r.URL.Path, body))
+	if err != nil {
+		g.log.Error("request failed on every candidate", "path", r.URL.Path, "error", err.Error())
+		g.badGateway(w, fmt.Sprintf("cluster: all backends failed: %v", err))
+		return upstream{}, false
+	}
+	return up, true
+}
+
+// handleOwned forwards a per-job or per-session request — job status,
+// session status, commit, partial report — to its owner and relays the
+// answer with its IDs re-namespaced.
+func (g *Gateway) handleOwned(w http.ResponseWriter, r *http.Request) {
+	g.proxyOwner(w, r, nil)
+}
+
+// proxyOwner is the owner-forward path: resolve the owner, forward with no
+// failover, answer 502 when the owner is unreachable, else relay.
+func (g *Gateway) proxyOwner(w http.ResponseWriter, r *http.Request, body []byte) {
+	b, path, ok := g.owner(w, r)
+	if !ok {
+		return
+	}
+	up, err := g.forwardOwner(r, b, path, body)
+	if err != nil {
+		g.unreachable(w, b, err)
+		return
+	}
+	g.relay(w, up, true)
 }
 
 // handleResult forwards a result fetch to the owning backend. The 200
@@ -238,90 +181,143 @@ func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 // to the key's replica chain: read-repair serves the identical sealed
 // bytes from a successor and queues the owner for back-fill.
 func (g *Gateway) handleResult(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	name, remoteID, ok := splitJobID(id)
-	b := g.byName[name]
-	if !ok || b == nil {
-		writeError(w, http.StatusNotFound,
-			fmt.Sprintf("cluster: no such job %q (gateway ids look like backend:j-n)", id))
+	b, path, ok := g.owner(w, r)
+	if !ok {
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.Retry.Timeout)
-	defer cancel()
-	up, err := g.attemptOne(ctx, b, func(base string) (*http.Request, error) {
-		return http.NewRequest(http.MethodGet, base+"/v1/results/"+remoteID, nil)
-	})
+	up, err := g.forwardOwner(r, b, path, nil)
 	if err == nil && up.status != http.StatusNotFound {
 		g.relay(w, up, false)
 		return
 	}
 	// Owner gone (or a restarted owner that no longer knows the job): the
 	// result may still be alive on a replica.
-	if g.serveRepaired(w, r, id, name) {
+	if g.serveRepaired(w, r, r.PathValue("id"), b.Name) {
 		return
 	}
 	if err != nil {
-		writeError(w, http.StatusBadGateway, fmt.Sprintf("cluster: backend %s unreachable: %v", name, err))
+		g.unreachable(w, b, err)
 		return
 	}
 	g.relay(w, up, false)
 }
 
-// forwardToOwner routes a per-job GET to the backend that owns the job.
-// No failover here — job state is node-local, so a different replica can
-// only answer 404.
-func (g *Gateway) forwardToOwner(w http.ResponseWriter, r *http.Request, path string, rewriteID bool) {
-	name, remoteID, ok := splitJobID(r.PathValue("id"))
+// owner resolves the backend named by the namespaced {id} path segment
+// ("<backend>:<id>", a job or an upload session) and returns the request
+// path with the backend-local ID in its place. An unroutable ID is
+// answered 404 here (ok=false).
+func (g *Gateway) owner(w http.ResponseWriter, r *http.Request) (*backend, string, bool) {
+	id := r.PathValue("id")
+	name, remoteID, ok := splitJobID(id)
 	b := g.byName[name]
 	if !ok || b == nil {
-		writeError(w, http.StatusNotFound,
-			fmt.Sprintf("cluster: no such job %q (gateway ids look like backend:j-n)", r.PathValue("id")))
-		return
+		httpapi.WriteError(w, http.StatusNotFound,
+			fmt.Sprintf("cluster: no such job or session %q (gateway ids look like backend:j-n or backend:s-n)", id))
+		return nil, "", false
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.Retry.Timeout)
-	defer cancel()
-	up, err := g.attemptOne(ctx, b, func(base string) (*http.Request, error) {
-		return http.NewRequest(http.MethodGet, base+path+remoteID, nil)
-	})
-	if err != nil {
-		writeError(w, http.StatusBadGateway, fmt.Sprintf("cluster: backend %s unreachable: %v", name, err))
-		return
-	}
-	g.relay(w, up, rewriteID)
+	// {id} is a whole '/'-free segment and the route prefixes hold no ':',
+	// so the first occurrence of id in the path is that segment.
+	return b, strings.Replace(r.URL.Path, id, remoteID, 1), true
 }
 
-// relay writes an upstream answer to the client. When rewriteID is set
-// and the body is a Status document, the job ID is re-namespaced into the
-// gateway's "<backend>:<id>" form; everything else passes through
-// untouched (headers worth keeping included).
-func (g *Gateway) relay(w http.ResponseWriter, up upstream, rewriteID bool) {
-	for _, h := range []string{"Content-Type", "Retry-After", "X-DD-Tenant"} {
+// forwardOwner sends r to its owner at path, with no failover: job and
+// session state are node-local, so another replica could only answer 404.
+func (g *Gateway) forwardOwner(r *http.Request, b *backend, path string, body []byte) (upstream, error) {
+	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.Retry.Timeout)
+	defer cancel()
+	return g.attemptOne(ctx, b, proxyRequest(r, path, body))
+}
+
+// unreachable answers 502 for an owner the gateway could not reach.
+func (g *Gateway) unreachable(w http.ResponseWriter, b *backend, err error) {
+	g.badGateway(w, fmt.Sprintf("cluster: backend %s unreachable: %v", b.Name, err))
+}
+
+// badGateway answers 502 for a failure of the gateway's own forwarding,
+// counting it in ddgate_errors_total. Every gateway-made 502 goes through
+// here; a 502 a backend answered itself is relayed, not counted.
+func (g *Gateway) badGateway(w http.ResponseWriter, msg string) {
+	g.cErrors.Inc()
+	httpapi.WriteError(w, http.StatusBadGateway, msg)
+}
+
+// forwardedHeaders are the client request headers an upstream call carries
+// over: the body's media type, a chunk's checksum, and the API key (so
+// backend-side tenancy keeps working through the gateway).
+var forwardedHeaders = []string{"Content-Type", service.ChunkCRCHeader, tenant.HeaderAPIKey}
+
+// relayedHeaders are the upstream response headers relayed to the client.
+var relayedHeaders = []string{"Content-Type", "Retry-After", tenant.HeaderTenant}
+
+// proxyRequest builds r's upstream copy for a backend: the same method,
+// the given path and r's query, the buffered body, and forwardedHeaders.
+func proxyRequest(r *http.Request, path string, body []byte) func(base string) (*http.Request, error) {
+	return func(base string) (*http.Request, error) {
+		u := base + path
+		if r.URL.RawQuery != "" {
+			u += "?" + r.URL.RawQuery
+		}
+		req, err := http.NewRequest(r.Method, u, bytes.NewReader(body))
+		if err != nil {
+			return nil, err
+		}
+		for _, h := range forwardedHeaders {
+			if v := r.Header.Get(h); v != "" {
+				req.Header.Set(h, v)
+			}
+		}
+		return req, nil
+	}
+}
+
+// relay writes an upstream answer to the client, relayedHeaders included.
+// With namespace set the document's backend-local IDs are rewritten into
+// the gateway's "<backend>:<id>" form; otherwise the body passes through
+// byte-for-byte.
+func (g *Gateway) relay(w http.ResponseWriter, up upstream, namespace bool) {
+	for _, h := range relayedHeaders {
 		if v := up.header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}
 	}
 	body := up.body
-	if rewriteID {
-		if rewritten, ok := rewriteStatusID(body, up.backend); ok {
-			body = rewritten
-		}
+	if namespace {
+		body = namespaceIDs(body, up.backend)
 	}
 	w.WriteHeader(up.status)
 	w.Write(body)
 }
 
-// rewriteStatusID namespaces the "id" field of a Status JSON document.
-func rewriteStatusID(body []byte, backendName string) ([]byte, bool) {
-	var st service.Status
-	if err := json.Unmarshal(body, &st); err != nil || st.ID == "" {
-		return nil, false
+// idFields name the top-level fields that carry backend-local IDs: the
+// job status "id", and the "session" and bound "job" of session
+// snapshots, chunk acks and partial reports.
+var idFields = []string{"id", "session", "job"}
+
+// namespaceIDs rewrites every non-empty idFields string of a JSON object
+// into the gateway namespace. Anything else — an error document, a body
+// that is not an object — comes back unchanged.
+func namespaceIDs(body []byte, backendName string) []byte {
+	var doc map[string]json.RawMessage
+	if json.Unmarshal(body, &doc) != nil {
+		return body
 	}
-	st.ID = joinJobID(backendName, st.ID)
-	out, err := json.Marshal(st)
+	changed := false
+	for _, f := range idFields {
+		var id string
+		if json.Unmarshal(doc[f], &id) != nil || id == "" {
+			continue
+		}
+		doc[f], _ = json.Marshal(joinJobID(backendName, id))
+		changed = true
+	}
+	if !changed {
+		return body
+	}
+	out, err := json.Marshal(doc)
 	if err != nil {
-		return nil, false
+		return body
 	}
-	return append(out, '\n'), true
+	return append(out, '\n')
 }
 
 // handleHealth reports ring capacity. The gateway stays 200 while at
@@ -369,11 +365,11 @@ func (g *Gateway) handleHealth(w http.ResponseWriter, _ *http.Request) {
 			"degraded":         rs.Degraded,
 		}
 	}
-	writeJSON(w, code, body)
+	httpapi.WriteJSON(w, code, body)
 }
 
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, g.Stats(r.Context()))
+	httpapi.WriteJSON(w, http.StatusOK, g.Stats(r.Context()))
 }
 
 // handleJobTrace merges two waterfalls onto one timeline: the gateway's
@@ -382,27 +378,19 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 // absolute base time, so re-encoding the concatenated records lines the
 // gateway hop up above the backend stages exactly as they happened.
 func (g *Gateway) handleJobTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	name, remoteID, ok := splitJobID(id)
-	b := g.byName[name]
-	if !ok || b == nil {
-		writeError(w, http.StatusNotFound,
-			fmt.Sprintf("cluster: no such job %q (gateway ids look like backend:j-n)", id))
+	b, path, ok := g.owner(w, r)
+	if !ok {
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.Retry.Timeout)
-	defer cancel()
-	up, err := g.attemptOne(ctx, b, func(base string) (*http.Request, error) {
-		return http.NewRequest(http.MethodGet, base+"/v1/jobs/"+remoteID+"/trace", nil)
-	})
+	id := r.PathValue("id")
+	up, err := g.forwardOwner(r, b, path, nil)
 
 	extra := map[string]string{"job_id": id, "node": g.cfg.Node}
 	var backendRecs []obs.SpanRecord
 	if err == nil && up.status == http.StatusOK {
 		recs, other, derr := obs.DecodeSpanTrace(up.body)
 		if derr != nil {
-			writeError(w, http.StatusBadGateway,
-				fmt.Sprintf("cluster: backend %s returned an unreadable trace: %v", name, derr))
+			g.badGateway(w, fmt.Sprintf("cluster: backend %s returned an unreadable trace: %v", b.Name, derr))
 			return
 		}
 		backendRecs = recs
@@ -416,8 +404,7 @@ func (g *Gateway) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	if len(backendRecs) == 0 && len(gwRecs) == 0 {
 		// Nothing to merge: pass the backend's answer (or failure) through.
 		if err != nil {
-			writeError(w, http.StatusBadGateway,
-				fmt.Sprintf("cluster: backend %s unreachable: %v", name, err))
+			g.unreachable(w, b, err)
 			return
 		}
 		g.relay(w, up, false)
@@ -425,7 +412,7 @@ func (g *Gateway) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	data, eerr := obs.EncodeSpanTrace("job "+id, append(gwRecs, backendRecs...), extra)
 	if eerr != nil {
-		writeError(w, http.StatusInternalServerError, eerr.Error())
+		httpapi.WriteError(w, http.StatusInternalServerError, eerr.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -433,53 +420,22 @@ func (g *Gateway) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	w.Write(data)
 }
 
-// maxTSBodyBytes bounds a backend's /v1/timeseries response during
-// aggregation; 8 MiB is orders of magnitude above a full retention window.
-const maxTSBodyBytes = 8 << 20
-
 // handleTimeseries serves the fleet view: the gateway's own sampled
-// history plus every reachable backend's, concurrently fetched under the
-// stats timeout. Per-series Node fields keep the merged document
-// attributable; an unreachable backend just contributes nothing.
+// history plus every reachable backend's. Per-series Node fields keep the
+// merged document attributable; an unreachable backend just contributes
+// nothing.
 func (g *Gateway) handleTimeseries(w http.ResponseWriter, r *http.Request) {
 	since, err := tsdb.ParseSince(r.URL.Query().Get("since"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		httpapi.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	doc := g.ts.Doc(r.URL.Query().Get("metric"), since)
-
-	perBackend := make([][]tsdb.Series, len(g.backends))
-	var wg sync.WaitGroup
-	for i, b := range g.backends {
-		wg.Add(1)
-		go func(i int, b *backend) {
-			defer wg.Done()
-			sctx, cancel := context.WithTimeout(r.Context(), g.cfg.StatsTimeout)
-			defer cancel()
-			req, rerr := http.NewRequestWithContext(sctx, http.MethodGet,
-				b.URL+"/v1/timeseries?"+r.URL.RawQuery, nil)
-			if rerr != nil {
-				return
-			}
-			resp, derr := g.client.Do(req)
-			if derr != nil {
-				g.log.Debug("backend timeseries unavailable", "backend", b.Name, "error", derr.Error())
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				return
-			}
-			var bdoc tsdb.Doc
-			if json.NewDecoder(io.LimitReader(resp.Body, maxTSBodyBytes)).Decode(&bdoc) == nil {
-				perBackend[i] = bdoc.Series
-			}
-		}(i, b)
-	}
-	wg.Wait()
-	for _, series := range perBackend {
-		doc.Series = append(doc.Series, series...)
+	docs, errs := fanOut[tsdb.Doc](r.Context(), g, "/v1/timeseries?"+r.URL.RawQuery)
+	for i, d := range docs {
+		if errs[i] == nil {
+			doc.Series = append(doc.Series, d.Series...)
+		}
 	}
 	sort.Slice(doc.Series, func(i, j int) bool {
 		if doc.Series[i].Node != doc.Series[j].Node {
@@ -487,27 +443,9 @@ func (g *Gateway) handleTimeseries(w http.ResponseWriter, r *http.Request) {
 		}
 		return doc.Series[i].Metric < doc.Series[j].Metric
 	})
-	writeJSON(w, http.StatusOK, doc)
+	httpapi.WriteJSON(w, http.StatusOK, doc)
 }
 
 func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 	stream.ServeSSE(w, r, g.bus)
-}
-
-func (g *Gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	obs.UpdateProcessGauges(g.reg)
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := g.reg.WriteProm(w); err != nil {
-		fmt.Fprintf(w, "# write error: %v\n", err)
-	}
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
 }

@@ -2,8 +2,11 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"demandrace/internal/obs"
@@ -59,9 +62,7 @@ type ClusterStats struct {
 }
 
 // Stats assembles the aggregated operational snapshot: gateway-local
-// counters plus a concurrent fan-out to every backend's /v1/stats, each
-// fetch bounded by Config.StatsTimeout so one hung backend costs its own
-// row, never the whole document.
+// counters plus a fan-out to every backend's /v1/stats.
 func (g *Gateway) Stats(ctx context.Context) ClusterStats {
 	cs := ClusterStats{
 		Node:          g.cfg.Node,
@@ -86,10 +87,8 @@ func (g *Gateway) Stats(ctx context.Context) ClusterStats {
 	}
 	cs.Tenants = g.tenants.StatsSnapshot()
 
-	var (
-		wg       sync.WaitGroup
-		errCount atomic.Int64
-	)
+	docs, errs := fanOut[service.StatsSummary](ctx, g, "/v1/stats")
+	statsErrors := 0
 	for i, b := range g.backends {
 		cs.Backends[i] = BackendStats{
 			Name:      b.Name,
@@ -97,27 +96,17 @@ func (g *Gateway) Stats(ctx context.Context) ClusterStats {
 			Health:    b.Health().String(),
 			Forwarded: b.cForward.Value(),
 		}
-		wg.Add(1)
-		go func(i int, b *backend) {
-			defer wg.Done()
-			sctx, cancel := context.WithTimeout(ctx, g.cfg.StatsTimeout)
-			defer cancel()
-			cl := &service.Client{BaseURL: b.URL, HTTPClient: g.client}
-			sum, err := cl.Stats(sctx)
-			if err != nil {
-				errCount.Add(1)
-				g.log.Debug("backend stats unavailable", "backend", b.Name, "error", err.Error())
-				return
-			}
-			cs.Backends[i].Stats = &sum
-		}(i, b)
+		if errs[i] != nil {
+			statsErrors++
+			continue
+		}
+		cs.Backends[i].Stats = &docs[i]
 	}
-	wg.Wait()
-	cs.StatsErrors = int(errCount.Load())
+	cs.StatsErrors = statsErrors
 	// Record the partial-view count as a gauge so the fleet-stats-partial
 	// alert rule (and the tsdb) can see it; it reflects the most recent
 	// fan-out, refreshed on every stats poll.
-	g.reg.Gauge(obs.GateStatsErrors).Set(errCount.Load())
+	g.reg.Gauge(obs.GateStatsErrors).Set(int64(statsErrors))
 
 	for _, bs := range cs.Backends {
 		if bs.Stats == nil {
@@ -131,4 +120,51 @@ func (g *Gateway) Stats(ctx context.Context) ClusterStats {
 		cs.Jobs.Inflight += bs.Stats.Jobs.Inflight
 	}
 	return cs
+}
+
+// maxFleetBodyBytes bounds one backend's answer during a fan-out; 8 MiB is
+// orders of magnitude above a full time-series retention window, the
+// largest of the fleet documents.
+const maxFleetBodyBytes = 8 << 20
+
+// fanOut fetches the JSON document at path from every backend
+// concurrently, each fetch bounded by Config.StatsTimeout and
+// maxFleetBodyBytes, so one hung or oversized backend costs its own row,
+// never the whole document. docs and errs follow the configured backend
+// order; errs[i] is nil exactly when docs[i] was decoded.
+func fanOut[T any](ctx context.Context, g *Gateway, path string) (docs []T, errs []error) {
+	docs = make([]T, len(g.backends))
+	errs = make([]error, len(g.backends))
+	var wg sync.WaitGroup
+	for i, b := range g.backends {
+		wg.Add(1)
+		go func(i int, b *backend) {
+			defer wg.Done()
+			fctx, cancel := context.WithTimeout(ctx, g.cfg.StatsTimeout)
+			defer cancel()
+			errs[i] = g.fetchJSON(fctx, b, path, &docs[i])
+			if errs[i] != nil {
+				g.log.Debug("backend fan-out failed", "backend", b.Name, "path", path, "error", errs[i].Error())
+			}
+		}(i, b)
+	}
+	wg.Wait()
+	return docs, errs
+}
+
+// fetchJSON decodes one backend's bounded 200 answer at path into v.
+func (g *Gateway) fetchJSON(ctx context.Context, b *backend, path string, v any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.URL+path, nil)
+	if err != nil {
+		return err
+	}
+	resp, err := g.client.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("cluster: %s answered HTTP %d to %s", b.Name, resp.StatusCode, path)
+	}
+	return json.NewDecoder(io.LimitReader(resp.Body, maxFleetBodyBytes)).Decode(v)
 }

@@ -21,8 +21,10 @@ const (
 	// first.
 	GateHedges    = "ddgate_hedges_total"
 	GateHedgeWins = "ddgate_hedge_wins_total"
-	// GateErrors counts requests that exhausted every candidate backend
-	// (answered 502 to the client).
+	// GateErrors counts requests the gateway failed itself: every 502 it
+	// answered (every candidate backend failed, or a job's or session's
+	// owner was unreachable) and every 503 for an empty ring. A 502 a
+	// backend answered is relayed, not counted.
 	GateErrors = "ddgate_errors_total"
 
 	// GateRingMembers is the current number of routable (non-evicted)

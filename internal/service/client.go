@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"demandrace/internal/obs/tracectx"
+	"demandrace/internal/tenant"
 )
 
 // Options is the client-side timeout/retry policy, shared by everything
@@ -227,7 +228,7 @@ func (c *Client) attempt(ctx context.Context, build func(ctx context.Context) (*
 		return reply{}, err
 	}
 	if c.APIKey != "" {
-		req.Header.Set("X-API-Key", c.APIKey)
+		req.Header.Set(tenant.HeaderAPIKey, c.APIKey)
 	}
 	// Propagate the caller's trace context, one child span per attempt, so
 	// retries are distinguishable hops under the same trace ID.

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"demandrace/internal/httpapi"
 	"demandrace/internal/ingest"
 	"demandrace/internal/obs"
 	"demandrace/internal/obs/alert"
@@ -166,6 +167,7 @@ type Server struct {
 	ing     *ingest.Manager
 	alerts  *alert.Engine
 	tenants *tenant.Registry // nil when tenancy is off
+	api     httpapi.Tier
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
@@ -239,6 +241,18 @@ func NewServer(cfg Config) *Server {
 		Registry: cfg.Registry,
 		Bus:      s.bus,
 	})
+	s.api = httpapi.Tier{
+		Registry:      cfg.Registry,
+		Log:           cfg.Log,
+		Requests:      cfg.Registry.Counter(obs.SvcHTTPRequests),
+		LatencyPrefix: obs.SvcHTTPLatencyPrefix,
+		SpanPrefix:    "http:",
+		SLORequests:   cfg.Registry.Counter(obs.SvcSLORequests),
+		SLOBreaches:   cfg.Registry.Counter(obs.SvcSLOBreaches),
+		SLOLatency:    cfg.SLOLatency,
+		Tenants:       s.tenants,
+		Rejected:      s.cReject,
+	}
 	// The ingest manager shares the server's bus, registry, and trace
 	// limits, so streamed sessions surface through the same event stream,
 	// metrics exposition, and 413 thresholds as batch uploads.

@@ -3,6 +3,7 @@ package service
 import (
 	"time"
 
+	"demandrace/internal/httpapi"
 	"demandrace/internal/obs"
 	"demandrace/internal/tenant"
 )
@@ -147,12 +148,12 @@ func (s *Server) Stats() StatsSummary {
 		JobDuration: summarize(s.hJobDur),
 	}
 
-	// The route table reuses the handler registration order, so the JSON is
+	// Rows follow the shared route table's fixed order, so the JSON is
 	// stable run to run even though the values are wall-clock.
-	for _, rt := range s.routes() {
-		h := s.reg.Histogram(obs.SvcHTTPLatencyPrefix+rt.key, obs.LatencyBuckets)
+	for _, rt := range httpapi.Routes {
+		h := s.reg.Histogram(obs.SvcHTTPLatencyPrefix+rt.Key, obs.LatencyBuckets)
 		sum.Endpoints = append(sum.Endpoints, EndpointStats{
-			Route:          rt.key,
+			Route:          rt.Key,
 			LatencySummary: summarize(h),
 		})
 	}
