@@ -68,7 +68,7 @@ func TestGatewayEndToEnd(t *testing.T) {
 	}
 	base := "http://" + addr
 
-	cl := &service.Client{BaseURL: base, PollInterval: 5 * time.Millisecond}
+	cl := &service.Client{BaseURL: base}
 	data, st, err := cl.Run(context.Background(), service.Request{Kernel: "racy_flag"})
 	if err != nil {
 		t.Fatalf("Run through gateway: %v", err)

@@ -392,8 +392,9 @@ func writeProfile(out io.Writer, path string, pr *prof.Profile) error {
 }
 
 // submitRemote runs the job on a ddserved daemon (or a ddgate cluster
-// front — the surfaces are identical): submit, poll to a terminal state,
-// fetch the report, and print it like a local run. With profOut set the
+// front — the surfaces are identical): submit, wait for a terminal state
+// on GET /v1/jobs/{id}?wait= long-polls (skipped for a cache hit), fetch
+// the report, and print it like a local run. With profOut set the
 // request asks the daemon for a cycle profile and the folded stacks land
 // in the same file a local -profile run would write. Transient daemon
 // errors (429 backpressure, 5xx, connection drops) are retried with

@@ -69,7 +69,7 @@ func TestServeSubmitShutdown(t *testing.T) {
 		t.Fatal("daemon never wrote -addr-file")
 	}
 
-	cl := &service.Client{BaseURL: "http://" + addr, PollInterval: 5 * time.Millisecond}
+	cl := &service.Client{BaseURL: "http://" + addr}
 	data, st, err := cl.Run(context.Background(), service.Request{Kernel: "racy_flag"})
 	if err != nil {
 		t.Fatalf("Run: %v", err)

@@ -53,7 +53,7 @@ func newGateway(t *testing.T, cfg Config) (*Gateway, *service.Client) {
 		ts.Close()
 		g.Stop()
 	})
-	return g, &service.Client{BaseURL: ts.URL, PollInterval: 2 * time.Millisecond}
+	return g, &service.Client{BaseURL: ts.URL}
 }
 
 // requestOwnedBy searches seeds until one routes to the wanted backend.
@@ -82,7 +82,7 @@ func TestClusterDeterministicRouting(t *testing.T) {
 		_, ts := startBackend(t)
 		name := fmt.Sprintf("b%d", i+1)
 		backends[i] = Backend{Name: name, URL: ts.URL}
-		direct[name] = &service.Client{BaseURL: ts.URL, PollInterval: 2 * time.Millisecond}
+		direct[name] = &service.Client{BaseURL: ts.URL}
 	}
 	g, cl := newGateway(t, Config{Backends: backends})
 

@@ -25,7 +25,8 @@ import (
 // /v1/cache routes), so service.Client and `ddrace -submit` work unchanged:
 //
 //	POST /v1/jobs          route by content hash, failover + hedging
-//	GET  /v1/jobs/{id}     forwarded to the owning backend (id prefix)
+//	GET  /v1/jobs/{id}     forwarded to the owning backend (id prefix),
+//	                       ?wait= long-polls included
 //	GET  /v1/results/{id}  forwarded to the owning backend, bytes untouched
 //	GET  /v1/stats         gateway + per-backend aggregated stats
 //	GET  /healthz          ring capacity (503 only when no backend routable)

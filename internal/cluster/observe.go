@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -62,18 +63,22 @@ func (t *traceStore) records(id string) []obs.SpanRecord {
 // subscription at the gateway sees the whole fleet. Connection failures
 // back off and reconnect — an unreachable backend costs a retry loop,
 // never a crash — and job IDs are rewritten into the gateway namespace so
-// anything a watcher sees can be fetched back through the gateway.
+// anything a watcher sees can be fetched back through the gateway. The
+// first connection asks for the backend's whole retained history, so a
+// job that finished before the tailer connected still enrolls for
+// replication; each reconnect resumes after the last event seen.
 func (g *Gateway) tailLoop(b *backend) {
 	defer g.tailWG.Done()
 	backoff := 500 * time.Millisecond
 	const maxBackoff = 5 * time.Second
+	var lastSeq uint64
 	for {
 		select {
 		case <-g.stop:
 			return
 		default:
 		}
-		err := g.tailOnce(b)
+		err := g.tailOnce(b, &lastSeq)
 		select {
 		case <-g.stop:
 			return
@@ -88,9 +93,10 @@ func (g *Gateway) tailLoop(b *backend) {
 	}
 }
 
-// tailOnce holds one streaming connection to a backend's /v1/events until
-// it breaks or the gateway stops.
-func (g *Gateway) tailOnce(b *backend) error {
+// tailOnce holds one streaming connection to a backend's /v1/events,
+// resuming after *lastSeq and advancing it, until the connection breaks
+// or the gateway stops.
+func (g *Gateway) tailOnce(b *backend, lastSeq *uint64) error {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
@@ -104,6 +110,7 @@ func (g *Gateway) tailOnce(b *backend) error {
 	if err != nil {
 		return err
 	}
+	req.Header.Set("Last-Event-ID", strconv.FormatUint(*lastSeq, 10))
 	resp, err := g.client.Do(req)
 	if err != nil {
 		return err
@@ -122,6 +129,7 @@ func (g *Gateway) tailOnce(b *backend) error {
 			// Connection artifact of our own subscription, not fleet news.
 			continue
 		}
+		*lastSeq = ev.Seq
 		if ev.Job != "" {
 			ev.Job = joinJobID(b.Name, ev.Job)
 		}
@@ -132,6 +140,9 @@ func (g *Gateway) tailOnce(b *backend) error {
 			if key, ok := g.jobKeys.get(ev.Job); ok {
 				g.replica.Track(key, b.Name)
 			}
+		}
+		if ev.UnixMS < g.start.UnixMilli() {
+			continue // replayed history from before this gateway existed
 		}
 		g.bus.Publish(ev)
 	}

@@ -23,37 +23,40 @@ import (
 // and its /v1/stats row. Quiet routes are polled by infrastructure, so
 // their access logs emit at debug. Stream routes hold their connection
 // open indefinitely (SSE), so they bypass the latency histogram and SLO
-// accounting — an hour-long tail is not an hour-long request.
+// accounting — an hour-long tail is not an hour-long request. On a
+// LongPoll route a request carrying ?wait= blocks until its job ends, so
+// it bypasses them too, but keeps its access-log line.
 type Route struct {
-	Pattern string
-	Key     string
-	Quiet   bool
-	Stream  bool
+	Pattern  string
+	Key      string
+	Quiet    bool
+	Stream   bool
+	LongPoll bool
 }
 
 // Routes is the API surface in a fixed order — the order ddserved's
 // /v1/stats reports endpoints in. The three /v1/cache routes are
 // ddserved's fleet-internal replication surface; ddgate serves the rest.
 var Routes = []Route{
-	{"POST /v1/jobs", "post_jobs", false, false},
-	{"POST /v1/traces", "post_traces", false, false},
-	{"PUT /v1/traces/{id}/chunks/{seq}", "put_trace_chunk", false, false},
-	{"GET /v1/traces/{id}", "get_trace_session", false, false},
-	{"POST /v1/traces/{id}/commit", "post_trace_commit", false, false},
-	{"GET /v1/jobs/{id}", "get_job", false, false},
-	{"GET /v1/jobs/{id}/trace", "get_job_trace", false, false},
-	{"GET /v1/jobs/{id}/partial", "get_job_partial", false, false},
-	{"GET /v1/results/{id}", "get_result", false, false},
-	{"GET /v1/cache", "get_cache_keys", true, false},
-	{"GET /v1/cache/{key}", "get_cache_entry", true, false},
-	{"PUT /v1/cache/{key}", "put_cache_entry", true, false},
-	{"GET /v1/timeseries", "get_timeseries", true, false},
-	{"GET /v1/events", "get_events", true, true},
-	{"GET /v1/alerts", "get_alerts", true, false},
-	{"GET /v1/dashboard", "get_dashboard", true, false},
-	{"GET /v1/stats", "get_stats", true, false},
-	{"GET /healthz", "healthz", true, false},
-	{"GET /metrics", "metrics", true, false},
+	{"POST /v1/jobs", "post_jobs", false, false, false},
+	{"POST /v1/traces", "post_traces", false, false, false},
+	{"PUT /v1/traces/{id}/chunks/{seq}", "put_trace_chunk", false, false, false},
+	{"GET /v1/traces/{id}", "get_trace_session", false, false, false},
+	{"POST /v1/traces/{id}/commit", "post_trace_commit", false, false, false},
+	{"GET /v1/jobs/{id}", "get_job", false, false, true},
+	{"GET /v1/jobs/{id}/trace", "get_job_trace", false, false, false},
+	{"GET /v1/jobs/{id}/partial", "get_job_partial", false, false, false},
+	{"GET /v1/results/{id}", "get_result", false, false, false},
+	{"GET /v1/cache", "get_cache_keys", true, false, false},
+	{"GET /v1/cache/{key}", "get_cache_entry", true, false, false},
+	{"PUT /v1/cache/{key}", "put_cache_entry", true, false, false},
+	{"GET /v1/timeseries", "get_timeseries", true, false, false},
+	{"GET /v1/events", "get_events", true, true, false},
+	{"GET /v1/alerts", "get_alerts", true, false, false},
+	{"GET /v1/dashboard", "get_dashboard", true, false, false},
+	{"GET /v1/stats", "get_stats", true, false, false},
+	{"GET /healthz", "healthz", true, false, false},
+	{"GET /metrics", "metrics", true, false, false},
 }
 
 // Tier is one daemon's face on the shared surface.
@@ -144,14 +147,19 @@ func (t *Tier) instrument(rt Route, h http.HandlerFunc) http.Handler {
 		}
 		ctx, span := obs.StartSpan(ctx, spanName)
 		span.SetAttr("trace_id", tc.TraceID())
-		span.ObserveInto(hist)
+		measured := !rt.LongPoll || r.URL.Query().Get("wait") == ""
+		if measured {
+			span.ObserveInto(hist)
+		}
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		h(rec, r.WithContext(ctx))
 		dur := span.End()
 
-		t.SLORequests.Inc()
-		if dur > t.SLOLatency {
-			t.SLOBreaches.Inc()
+		if measured {
+			t.SLORequests.Inc()
+			if dur > t.SLOLatency {
+				t.SLOBreaches.Inc()
+			}
 		}
 		logf("http request",
 			"method", r.Method,

@@ -92,8 +92,6 @@ type Client struct {
 	BaseURL string
 	// HTTPClient defaults to http.DefaultClient.
 	HTTPClient *http.Client
-	// PollInterval paces Wait's status polling (default 50ms).
-	PollInterval time.Duration
 	// Options is the timeout/retry policy for every call this client
 	// makes. Retrying a submission is safe: jobs are content-addressed
 	// and pure, so a duplicate submit is at worst a cache hit.
@@ -305,11 +303,6 @@ func (c *Client) get(path string) func(ctx context.Context) (*http.Request, erro
 	}
 }
 
-// Status fetches a job's current state.
-func (c *Client) Status(ctx context.Context, id string) (Status, error) {
-	return c.doStatus(ctx, c.get("/v1/jobs/"+url.PathEscape(id)))
-}
-
 // Result fetches a done job's result JSON.
 func (c *Client) Result(ctx context.Context, id string) ([]byte, error) {
 	r, err := c.roundTrip(ctx, c.get("/v1/results/"+url.PathEscape(id)))
@@ -333,37 +326,22 @@ func (c *Client) JobTrace(ctx context.Context, id string) ([]byte, error) {
 	return r.body, nil
 }
 
-// Stats fetches the node's GET /v1/stats document.
-func (c *Client) Stats(ctx context.Context) (StatsSummary, error) {
-	r, err := c.roundTrip(ctx, c.get("/v1/stats"))
-	if err != nil {
-		return StatsSummary{}, err
-	}
-	var sum StatsSummary
-	if err := json.Unmarshal(r.body, &sum); err != nil {
-		return StatsSummary{}, fmt.Errorf("service: decoding stats: %w", err)
-	}
-	return sum, nil
-}
-
-// Wait polls until the job reaches a terminal state or ctx expires.
+// Wait long-polls until the job reaches a terminal state or ctx expires.
+// Each GET /v1/jobs/{id}?wait= is held by the daemon until the job ends
+// or the daemon's bound passes; the next one goes out at once, so the
+// answer arrives as soon as the job ends. The wait asked for is the
+// daemon's bound, or half of Options.Timeout when that is shorter, so an
+// attempt is never cut by its own deadline.
 func (c *Client) Wait(ctx context.Context, id string) (Status, error) {
-	interval := c.PollInterval
-	if interval <= 0 {
-		interval = 50 * time.Millisecond
+	wait := maxWait
+	if t := c.Options.Timeout; t > 0 && t/2 < wait {
+		wait = t / 2
 	}
+	poll := c.get("/v1/jobs/" + url.PathEscape(id) + "?wait=" + wait.String())
 	for {
-		st, err := c.Status(ctx, id)
-		if err != nil {
-			return Status{}, err
-		}
-		if st.State.Terminal() {
-			return st, nil
-		}
-		select {
-		case <-time.After(interval):
-		case <-ctx.Done():
-			return st, ctx.Err()
+		st, err := c.doStatus(ctx, poll)
+		if err != nil || st.State.Terminal() {
+			return st, err
 		}
 	}
 }
@@ -376,8 +354,11 @@ func (c *Client) Run(ctx context.Context, r Request) ([]byte, Status, error) {
 	if err != nil {
 		return nil, st, err
 	}
-	if st, err = c.Wait(ctx, st.ID); err != nil {
-		return nil, st, err
+	// A cache hit is born done: only a queued job needs waiting for.
+	if !st.State.Terminal() {
+		if st, err = c.Wait(ctx, st.ID); err != nil {
+			return nil, st, err
+		}
 	}
 	if st.State != StateDone {
 		return nil, st, fmt.Errorf("service: job %s ended %s: %s", st.ID, st.State, st.Error)

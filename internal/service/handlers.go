@@ -1,12 +1,14 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"mime"
 	"net/http"
+	"time"
 
 	"demandrace/internal/httpapi"
 	"demandrace/internal/obs/alert"
@@ -24,7 +26,8 @@ const TraceContentType = "application/x-ddrace-trace"
 //
 //	POST /v1/jobs          submit a job (JSON Request, or a binary trace
 //	                       upload with ?fullvc=1&max_reports=N&timeout_ms=D)
-//	GET  /v1/jobs/{id}     job status
+//	GET  /v1/jobs/{id}     job status; ?wait=D long-polls until the job
+//	                       is terminal or min(D, 10s) has passed
 //	GET  /v1/results/{id}  result JSON of a done job
 //	GET  /v1/stats         latency percentiles, SLO budget, pool state
 //	GET  /healthz          liveness, drain state, queue-pressure degradation
@@ -126,13 +129,40 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	}
 }
 
+// maxWait bounds how long GET /v1/jobs/{id}?wait= holds a request open.
+const maxWait = 10 * time.Second
+
+// handleStatus answers a job's status. With ?wait=<Go duration> it is a
+// long-poll: the answer is held until the job is terminal or
+// min(wait, maxWait) has passed, whichever comes first.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	st, err := s.Status(r.PathValue("id"))
+	wait, err := parseWait(r.URL.Query().Get("wait"))
 	if err != nil {
+		httpapi.WriteError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), wait)
+	defer cancel()
+	// An expired bound is not an error: it answers the current status.
+	st, err := s.Wait(ctx, r.PathValue("id"))
+	if errors.Is(err, ErrNotFound) {
 		httpapi.WriteError(w, http.StatusNotFound, err.Error())
 		return
 	}
 	httpapi.WriteJSON(w, http.StatusOK, st)
+}
+
+// parseWait reads a ?wait= value: empty means no wait, anything else must
+// be a non-negative Go duration and is clamped to maxWait.
+func parseWait(q string) (time.Duration, error) {
+	if q == "" {
+		return 0, nil
+	}
+	d, err := time.ParseDuration(q)
+	if err != nil || d < 0 {
+		return 0, fmt.Errorf("wait %q: want a non-negative Go duration", q)
+	}
+	return min(d, maxWait), nil
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {

@@ -530,6 +530,7 @@ func (s *Server) admit(ctx context.Context, j *Job) (Status, error) {
 		j.state = StateDone
 		j.result = data
 		j.cacheHit = true
+		j.run = nil // born done: never runs
 		close(j.done)
 		s.jobs[j.id] = j
 		st := s.statusLocked(j)
@@ -656,6 +657,7 @@ func (s *Server) execute(j *Job) {
 		j.errMsg = err.Error()
 		s.cFail.Inc()
 	}
+	j.run = nil // spent: free what it captured
 	state := j.state
 	s.inflight--
 	s.gInflight.Set(int64(s.inflight))
@@ -730,7 +732,8 @@ func (s *Server) JobTrace(id string) ([]byte, error) {
 	return obs.EncodeSpanTrace("job "+id, j.rec.Records(), extra)
 }
 
-// Wait blocks until the job reaches a terminal state or ctx expires.
+// Wait blocks until the job reaches a terminal state or ctx expires. On
+// expiry it returns the job's current status alongside ctx's error.
 func (s *Server) Wait(ctx context.Context, id string) (Status, error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -738,12 +741,15 @@ func (s *Server) Wait(ctx context.Context, id string) (Status, error) {
 	if !ok {
 		return Status{}, ErrNotFound
 	}
+	var err error
 	select {
 	case <-j.done:
-		return s.Status(id)
 	case <-ctx.Done():
-		return Status{}, ctx.Err()
+		err = ctx.Err()
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.statusLocked(j), err
 }
 
 // QueueLen returns the number of queued (not yet running) jobs.

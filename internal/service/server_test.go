@@ -31,7 +31,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *Client
 		defer cancel()
 		s.Shutdown(ctx)
 	})
-	return s, ts, &Client{BaseURL: ts.URL, PollInterval: 5 * time.Millisecond}
+	return s, ts, &Client{BaseURL: ts.URL}
 }
 
 func TestSubmitPollFetch(t *testing.T) {
@@ -199,7 +199,7 @@ func TestGracefulShutdownDrainsInFlightJobs(t *testing.T) {
 	s.Start()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	cl := &Client{BaseURL: ts.URL, PollInterval: 5 * time.Millisecond}
+	cl := &Client{BaseURL: ts.URL}
 	ctx := context.Background()
 
 	var ids []string

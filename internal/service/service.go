@@ -328,7 +328,8 @@ type Job struct {
 	cacheHit bool
 	result   []byte
 	done     chan struct{}
-	// run executes the job body; nil for cache-hit jobs.
+	// run executes the job body; nil once the job is terminal, so nothing
+	// it captured (a decoded upload) outlives execution.
 	run runFunc
 	// enqueued is the wall-clock admission time, the start of the
 	// queue-wait measurement.

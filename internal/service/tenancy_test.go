@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"demandrace/internal/tenant"
 )
@@ -24,8 +23,8 @@ func TestTenancySubmissionGate(t *testing.T) {
 		},
 	})
 	ctx := context.Background()
-	heavy := &Client{BaseURL: ts.URL, APIKey: "hk", PollInterval: time.Millisecond}
-	light := &Client{BaseURL: ts.URL, APIKey: "lk", PollInterval: time.Millisecond}
+	heavy := &Client{BaseURL: ts.URL, APIKey: "hk"}
+	light := &Client{BaseURL: ts.URL, APIKey: "lk"}
 
 	// Burst 1: the first heavy submission is admitted.
 	st, err := heavy.Submit(ctx, Request{Kernel: "racy_flag", Seed: 1})
