@@ -163,6 +163,24 @@ func BenchmarkCacheHITMPingPong(b *testing.B) {
 	}
 }
 
+var benchHierarchy *demandrace.CacheHierarchy
+
+// BenchmarkCacheNew measures building the default hierarchy: its
+// allocation count is fixed, independent of the LLC's set count.
+func BenchmarkCacheNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchHierarchy = newHierarchy()
+	}
+}
+
+// BenchmarkRunSmallSetup runs one short scale-1 kernel back to back, so
+// per-run set-up dominates; runs after the first reuse a pooled hierarchy.
+func BenchmarkRunSmallSetup(b *testing.B) {
+	b.ReportAllocs()
+	benchKernel(b, "racy_flag", demandrace.HITMDemand)
+}
+
 // BenchmarkFig7Sweep regenerates the sharing-fraction characteristic curve
 // (E10).
 func BenchmarkFig7Sweep(b *testing.B) { benchExperiment(b, experiments.Fig7) }

@@ -179,6 +179,9 @@ func run(args []string, out, diag io.Writer) error {
 	if *streamIn != "" && *submitURL == "" {
 		return fmt.Errorf("-stream needs -submit (local traces replay with ddreplay)")
 	}
+	if err := service.ValidateMachine(*cores, *smt); err != nil {
+		return fmt.Errorf("invalid -cores/-smt: %w", err)
+	}
 	if *submitURL != "" {
 		if *streamIn != "" {
 			opts := service.TraceOptions{FullVC: *fullvc, MaxReports: -1}

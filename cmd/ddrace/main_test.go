@@ -355,6 +355,22 @@ func TestBatchErrors(t *testing.T) {
 	}
 }
 
+// TestMachineFlagBounds: a machine the simulator cannot build is a flag
+// error, not a panic from cache construction.
+func TestMachineFlagBounds(t *testing.T) {
+	for _, args := range [][]string{
+		{"-kernel", "racy_flag", "-cores", "65"},
+		{"-kernel", "racy_flag", "-cores", "0"},
+		{"-kernel", "racy_flag", "-smt", "9"},
+	} {
+		err := run(args, io.Discard, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "-cores/-smt") {
+			t.Errorf("%v: err = %v, want a -cores/-smt flag error", args, err)
+		}
+	}
+	runCLI(t, "-kernel", "micro_private", "-cores", "64", "-smt", "8")
+}
+
 func TestCompareWorkersDeterministic(t *testing.T) {
 	serial := runCLI(t, "-kernel", "micro_private", "-compare", "-workers", "1")
 	wide := runCLI(t, "-kernel", "micro_private", "-compare", "-workers", "8")

@@ -20,10 +20,15 @@
 //
 // The model is a private set-associative L1 per core over an implicit shared
 // last level; snooping is modeled as a directory lookup across peer L1s.
+//
+// A Hierarchy allocates all of its line storage in New. Access never
+// allocates, and Reset returns a used hierarchy to its just-constructed
+// state in O(sets), so callers that run many simulations can reuse one.
 package cache
 
 import (
 	"fmt"
+	"math"
 
 	"demandrace/internal/mem"
 	"demandrace/internal/obs"
@@ -142,8 +147,11 @@ func (c Config) validate() error {
 	if c.L1Sets < 1 || c.L1Sets&(c.L1Sets-1) != 0 {
 		return fmt.Errorf("cache: L1Sets must be a positive power of two, got %d", c.L1Sets)
 	}
-	if c.L1Ways < 1 {
-		return fmt.Errorf("cache: L1Ways must be ≥ 1, got %d", c.L1Ways)
+	if c.L1Ways < 1 || c.L1Ways > maxWays {
+		return fmt.Errorf("cache: L1Ways must be in [1,%d], got %d", maxWays, c.L1Ways)
+	}
+	if c.L2Ways > maxWays {
+		return fmt.Errorf("cache: L2Ways must be ≤ %d, got %d", maxWays, c.L2Ways)
 	}
 	if (c.L2Sets == 0) != (c.L2Ways == 0) {
 		return fmt.Errorf("cache: L2Sets and L2Ways must both be zero or both be set (%d/%d)",
@@ -219,8 +227,6 @@ type Result struct {
 	SrcCore int
 	// Latency is the modeled access latency in cycles.
 	Latency uint64
-	// Events lists the coherence events raised, in order.
-	Events []Event
 }
 
 // Latencies in cycles for the simple timing model. These feed the cost
@@ -270,10 +276,6 @@ type way struct {
 	lru uint64
 }
 
-type l1 struct {
-	sets [][]way
-}
-
 // CoreStats is one core's access profile.
 type CoreStats struct {
 	Hits   uint64
@@ -286,17 +288,55 @@ type CoreStats struct {
 	HITMOut uint64
 }
 
+// maxWays is the largest associativity a set's fill count can hold.
+const maxWays = math.MaxUint8
+
+// sets is flat set-associative storage. Set i owns slots
+// [i*ways, (i+1)*ways); only the first fill[i] of them are in use, so a set
+// grows exactly like an appended slice, and emptying every set touches only
+// the fill counts.
+type sets[T any] struct {
+	slots []T
+	fill  []uint8
+	ways  int
+}
+
+func newSets[T any](n, ways int) sets[T] {
+	return sets[T]{slots: make([]T, n*ways), fill: make([]uint8, n), ways: ways}
+}
+
+// set returns set i's in-use slots. Writes through it reach the storage.
+func (s *sets[T]) set(i int) []T {
+	base := i * s.ways
+	return s.slots[base : base+int(s.fill[i])]
+}
+
+// add appends v to set i and reports whether the set had a free slot.
+func (s *sets[T]) add(i int, v T) bool {
+	n := int(s.fill[i])
+	if n == s.ways {
+		return false
+	}
+	s.slots[i*s.ways+n] = v
+	s.fill[i]++
+	return true
+}
+
+func (s *sets[T]) reset() { clear(s.fill) }
+
 // Hierarchy is the simulated multicore cache system. It is not safe for
 // concurrent use; the deterministic scheduler serializes accesses.
 type Hierarchy struct {
-	cfg     Config
-	cores   []l1
-	llc     *llc // nil when the configuration has no LLC
+	cfg Config
+	// l1 holds every core's L1: core c's set s is set c*L1Sets+s.
+	l1 sets[way]
+	// llc is empty when the configuration has no LLC.
+	llc     sets[llcLine]
 	tick    uint64
 	stats   Stats
 	perCore []CoreStats
-	// sink receives every coherence event; nil means events are only
-	// returned in Results. The PMU installs itself here.
+	// sink receives every coherence event, in order; nil discards them.
+	// The PMU installs itself here.
 	sink func(Event)
 	// trace records PMU-relevant coherence events (HITM, invalidation,
 	// writeback) as cycle-timestamped telemetry; nil disables recording.
@@ -309,18 +349,28 @@ func New(cfg Config) *Hierarchy {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
-	h := &Hierarchy{cfg: cfg, cores: make([]l1, cfg.Cores), perCore: make([]CoreStats, cfg.Cores)}
-	for i := range h.cores {
-		sets := make([][]way, cfg.L1Sets)
-		for s := range sets {
-			sets[s] = make([]way, 0, cfg.L1Ways)
-		}
-		h.cores[i].sets = sets
+	h := &Hierarchy{
+		cfg:     cfg,
+		l1:      newSets[way](cfg.Cores*cfg.L1Sets, cfg.L1Ways),
+		perCore: make([]CoreStats, cfg.Cores),
 	}
 	if cfg.HasLLC() {
-		h.llc = newLLC(cfg.L2Sets, cfg.L2Ways)
+		h.llc = newSets[llcLine](cfg.L2Sets, cfg.L2Ways)
 	}
 	return h
+}
+
+// Reset returns h to the state New(h.Config()) constructs: every line
+// invalid, every counter zero, and no event sink or tracer attached. It
+// costs O(sets), not O(lines).
+func (h *Hierarchy) Reset() {
+	h.l1.reset()
+	h.llc.reset()
+	h.tick = 0
+	h.stats = Stats{}
+	clear(h.perCore)
+	h.sink = nil
+	h.trace = nil
 }
 
 // Config returns the hierarchy's configuration.
@@ -343,12 +393,12 @@ func (h *Hierarchy) PerCoreStats() []CoreStats {
 // CoreOf maps a hardware context to its physical core.
 func (h *Hierarchy) CoreOf(ctx Context) int { return int(ctx) / h.cfg.SMT }
 
-func (h *Hierarchy) setIndex(l mem.Line) int {
-	return int(uint64(l) % uint64(h.cfg.L1Sets))
+// setIndex returns the flat index of the L1 set of core that holds l.
+func (h *Hierarchy) setIndex(core int, l mem.Line) int {
+	return core*h.cfg.L1Sets + int(uint64(l)%uint64(h.cfg.L1Sets))
 }
 
-func (h *Hierarchy) emit(ev Event, res *Result) {
-	res.Events = append(res.Events, ev)
+func (h *Hierarchy) emit(ev Event) {
 	if h.sink != nil {
 		h.sink(ev)
 	}
@@ -370,7 +420,7 @@ func (h *Hierarchy) emit(ev Event, res *Result) {
 
 // lookup returns the way holding line in core's L1, or nil.
 func (h *Hierarchy) lookup(core int, l mem.Line) *way {
-	set := h.cores[core].sets[h.setIndex(l)]
+	set := h.l1.set(h.setIndex(core, l))
 	for i := range set {
 		if set[i].state != Invalid && set[i].line == l {
 			return &set[i]
@@ -380,10 +430,10 @@ func (h *Hierarchy) lookup(core int, l mem.Line) *way {
 }
 
 // install places line with state into core's L1, evicting LRU if needed.
-// It returns the eviction event (writeback) if a dirty line was displaced.
-func (h *Hierarchy) install(core int, l mem.Line, st State, ctx Context, res *Result) {
-	idx := h.setIndex(l)
-	set := h.cores[core].sets[idx]
+// Displacing a dirty line emits a writeback event.
+func (h *Hierarchy) install(core int, l mem.Line, st State, ctx Context) {
+	idx := h.setIndex(core, l)
+	set := h.l1.set(idx)
 	// Reuse an invalid way if present.
 	for i := range set {
 		if set[i].state == Invalid {
@@ -391,8 +441,7 @@ func (h *Hierarchy) install(core int, l mem.Line, st State, ctx Context, res *Re
 			return
 		}
 	}
-	if len(set) < h.cfg.L1Ways {
-		h.cores[core].sets[idx] = append(set, way{line: l, state: st, lru: h.tick})
+	if h.l1.add(idx, way{line: l, state: st, lru: h.tick}) {
 		return
 	}
 	// Evict the least recently used way.
@@ -405,12 +454,12 @@ func (h *Hierarchy) install(core int, l mem.Line, st State, ctx Context, res *Re
 	h.stats.Evictions++
 	if set[victim].state == Modified || set[victim].state == Owned {
 		h.stats.Writebacks++
-		h.emit(Event{Kind: EvWriteback, Ctx: ctx, Src: -1, Line: set[victim].line}, res)
-		if h.llc != nil {
+		h.emit(Event{Kind: EvWriteback, Ctx: ctx, Src: -1, Line: set[victim].line})
+		if h.cfg.HasLLC() {
 			// The dirty line lands in the shared LLC; later consumers get
 			// an ordinary LLC hit with no HITM — the blind spot persists
 			// even though the data never reached memory.
-			h.llcWriteback(set[victim].line, ctx, res)
+			h.llcWriteback(set[victim].line, ctx)
 		}
 	}
 	set[victim] = way{line: l, state: st, lru: h.tick}
@@ -462,7 +511,7 @@ func (h *Hierarchy) Access(ctx Context, addr mem.Addr, write bool) Result {
 		case Shared, Owned:
 			// Upgrade S/O→M: invalidate peers. Counted as a hit (data is
 			// local) but raises invalidations.
-			h.invalidatePeers(core, l, ctx, &res)
+			h.invalidatePeers(core, l)
 			w.state = Modified
 			h.stats.L1Hits++
 			h.perCore[core].Hits++
@@ -476,7 +525,7 @@ func (h *Hierarchy) Access(ctx Context, addr mem.Addr, write bool) Result {
 	h.stats.L1Misses++
 	h.perCore[core].Misses++
 	if h.cfg.NextLinePrefetch {
-		defer h.prefetch(core, l+1, ctx, &res)
+		defer h.prefetch(core, l+1, ctx)
 	}
 	srcCore, srcState := h.findPeer(core, l)
 	switch {
@@ -494,12 +543,12 @@ func (h *Hierarchy) Access(ctx Context, addr mem.Addr, write bool) Result {
 		res.Latency = LatPeerCache
 		h.perCore[core].HITMIn++
 		h.perCore[srcCore].HITMOut++
-		h.emit(Event{Kind: EvHITM, Ctx: ctx, Src: srcCore, Line: l, Write: write}, &res)
+		h.emit(Event{Kind: EvHITM, Ctx: ctx, Src: srcCore, Line: l, Write: write})
 		if write {
 			// RFO: every peer copy is invalidated, we take M. With an
 			// Owned supplier its sharers must drop too.
-			h.invalidatePeers(core, l, ctx, &res)
-			h.install(core, l, Modified, ctx, &res)
+			h.invalidatePeers(core, l)
+			h.install(core, l, Modified, ctx)
 		} else if h.cfg.Protocol == MOESI {
 			// MOESI read: the owner keeps the dirty data (M→O, or stays
 			// O) and remains responsible for it — no writeback, and the
@@ -507,27 +556,27 @@ func (h *Hierarchy) Access(ctx Context, addr mem.Addr, write bool) Result {
 			if srcState == Modified {
 				h.demote(srcCore, l, Owned)
 			}
-			h.install(core, l, Shared, ctx, &res)
+			h.install(core, l, Shared, ctx)
 		} else {
 			// MESI read: remote demotes M→S (writeback-on-share), we take
 			// S. The dirty data also lands in the LLC.
 			h.demote(srcCore, l, Shared)
-			if h.llc != nil {
-				h.llcWriteback(l, ctx, &res)
+			if h.cfg.HasLLC() {
+				h.llcWriteback(l, ctx)
 			}
-			h.install(core, l, Shared, ctx, &res)
+			h.install(core, l, Shared, ctx)
 		}
 	case srcState == Exclusive || srcState == Shared:
 		h.stats.PeerClean++
 		res.SrcCore = srcCore
 		res.Latency = LatPeerCache
-		h.emit(Event{Kind: EvHitShared, Ctx: ctx, Src: srcCore, Line: l, Write: write}, &res)
+		h.emit(Event{Kind: EvHitShared, Ctx: ctx, Src: srcCore, Line: l, Write: write})
 		if write {
-			h.invalidatePeers(core, l, ctx, &res)
-			h.install(core, l, Modified, ctx, &res)
+			h.invalidatePeers(core, l)
+			h.install(core, l, Modified, ctx)
 		} else {
 			h.demote(srcCore, l, Shared)
-			h.install(core, l, Shared, ctx, &res)
+			h.install(core, l, Shared, ctx)
 		}
 	default:
 		// No peer holds the line: try the shared LLC, then memory. A
@@ -535,28 +584,28 @@ func (h *Hierarchy) Access(ctx Context, addr mem.Addr, write bool) Result {
 		// back into the LLC (or to memory), so the consumer lands here:
 		// real sharing served with no HITM — the indicator's eviction
 		// blind spot.
-		if h.llc != nil {
+		if h.cfg.HasLLC() {
 			if s := h.llcLookup(l); s != nil {
 				h.llcTouch(s)
 				h.stats.LLCHits++
 				res.Latency = LatLLC
 				if write {
-					h.install(core, l, Modified, ctx, &res)
+					h.install(core, l, Modified, ctx)
 				} else {
-					h.install(core, l, Exclusive, ctx, &res)
+					h.install(core, l, Exclusive, ctx)
 				}
 				return res
 			}
 		}
 		h.stats.MemoryFills++
 		res.Latency = LatMemory
-		if h.llc != nil {
-			h.llcInstall(l, false, ctx, &res)
+		if h.cfg.HasLLC() {
+			h.llcInstall(l, false, ctx)
 		}
 		if write {
-			h.install(core, l, Modified, ctx, &res)
+			h.install(core, l, Modified, ctx)
 		} else {
-			h.install(core, l, Exclusive, ctx, &res)
+			h.install(core, l, Exclusive, ctx)
 		}
 	}
 	return res
@@ -567,7 +616,7 @@ func (h *Hierarchy) Access(ctx Context, addr mem.Addr, write bool) Result {
 // even when the fill drains a peer's Modified line, because the transfer is
 // not attributable to a retired instruction. Side-effect events of making
 // room (L1/LLC evictions) still fire as usual.
-func (h *Hierarchy) prefetch(core int, l mem.Line, ctx Context, res *Result) {
+func (h *Hierarchy) prefetch(core int, l mem.Line, ctx Context) {
 	if h.lookup(core, l) != nil {
 		return
 	}
@@ -584,24 +633,24 @@ func (h *Hierarchy) prefetch(core int, l mem.Line, ctx Context, res *Result) {
 			}
 		} else {
 			h.demote(srcCore, l, Shared)
-			if h.llc != nil {
-				h.llcWriteback(l, ctx, res)
+			if h.cfg.HasLLC() {
+				h.llcWriteback(l, ctx)
 			}
 		}
-		h.install(core, l, Shared, ctx, res)
+		h.install(core, l, Shared, ctx)
 	case srcState == Exclusive || srcState == Shared:
 		h.demote(srcCore, l, Shared)
-		h.install(core, l, Shared, ctx, res)
+		h.install(core, l, Shared, ctx)
 	default:
-		if h.llc != nil {
+		if h.cfg.HasLLC() {
 			if s := h.llcLookup(l); s != nil {
 				h.llcTouch(s)
-				h.install(core, l, Exclusive, ctx, res)
+				h.install(core, l, Exclusive, ctx)
 				return
 			}
-			h.llcInstall(l, false, ctx, res)
+			h.llcInstall(l, false, ctx)
 		}
-		h.install(core, l, Exclusive, ctx, res)
+		h.install(core, l, Exclusive, ctx)
 	}
 }
 
@@ -609,7 +658,7 @@ func (h *Hierarchy) prefetch(core int, l mem.Line, ctx Context, res *Result) {
 // state (Modified preferred, since at most one M copy can exist).
 func (h *Hierarchy) findPeer(core int, l mem.Line) (int, State) {
 	bestCore, bestState := -1, Invalid
-	for c := range h.cores {
+	for c := range h.cfg.Cores {
 		if c == core {
 			continue
 		}
@@ -626,8 +675,8 @@ func (h *Hierarchy) findPeer(core int, l mem.Line) (int, State) {
 }
 
 // invalidatePeers drops every peer copy of l, emitting invalidation events.
-func (h *Hierarchy) invalidatePeers(core int, l mem.Line, requester Context, res *Result) {
-	for c := range h.cores {
+func (h *Hierarchy) invalidatePeers(core int, l mem.Line) {
+	for c := range h.cfg.Cores {
 		if c == core {
 			continue
 		}
@@ -635,19 +684,9 @@ func (h *Hierarchy) invalidatePeers(core int, l mem.Line, requester Context, res
 			// Dirty peers (Owned under MOESI, or the Modified supplier on
 			// the RFO path) hand their data to the requester, which takes
 			// it Modified — no memory writeback is needed.
-			h.dropLine(c, l)
+			w.state = Invalid
 			h.stats.Invalidations++
-			h.emit(Event{Kind: EvInvalidation, Ctx: h.anyCtxOf(c), Src: core, Line: l, Write: true}, res)
-		}
-	}
-}
-
-func (h *Hierarchy) dropLine(core int, l mem.Line) {
-	set := h.cores[core].sets[h.setIndex(l)]
-	for i := range set {
-		if set[i].state != Invalid && set[i].line == l {
-			set[i].state = Invalid
-			return
+			h.emit(Event{Kind: EvInvalidation, Ctx: h.anyCtxOf(c), Src: core, Line: l, Write: true})
 		}
 	}
 }
@@ -680,14 +719,12 @@ func (h *Hierarchy) CheckInvariants() error {
 		state State
 	}
 	seen := map[mem.Line][]hold{}
-	for c := range h.cores {
-		for _, set := range h.cores[c].sets {
-			for _, w := range set {
-				if w.state == Invalid {
-					continue
-				}
-				seen[w.line] = append(seen[w.line], hold{c, w.state})
+	for si := range h.l1.fill {
+		for _, w := range h.l1.set(si) {
+			if w.state == Invalid {
+				continue
 			}
+			seen[w.line] = append(seen[w.line], hold{si / h.cfg.L1Sets, w.state})
 		}
 	}
 	for l, holds := range seen {
@@ -730,25 +767,22 @@ func (h *Hierarchy) CheckInvariants() error {
 // Flush invalidates every line in every cache level, writing back dirty
 // lines. Used by tests to force the eviction blind spot deterministically.
 func (h *Hierarchy) Flush() {
-	for c := range h.cores {
-		for si := range h.cores[c].sets {
-			set := h.cores[c].sets[si]
-			for i := range set {
-				if set[i].state == Modified || set[i].state == Owned {
-					h.stats.Writebacks++
-					if h.llc != nil {
-						h.llcWriteback(set[i].line, h.anyCtxOf(c), nil)
-					}
+	for si := range h.l1.fill {
+		set := h.l1.set(si)
+		for i := range set {
+			if set[i].state == Modified || set[i].state == Owned {
+				h.stats.Writebacks++
+				if h.cfg.HasLLC() {
+					// Inclusion keeps the line in the LLC, so this only
+					// marks it dirty there and raises no event.
+					h.llcWriteback(set[i].line, h.anyCtxOf(si/h.cfg.L1Sets))
 				}
-				set[i].state = Invalid
 			}
+			set[i].state = Invalid
 		}
 	}
-	if h.llc == nil {
-		return
-	}
-	for si := range h.llc.sets {
-		set := h.llc.sets[si]
+	for si := range h.llc.fill {
+		set := h.llc.set(si)
 		for i := range set {
 			if set[i].valid && set[i].dirty {
 				h.stats.L2Writebacks++
@@ -761,7 +795,7 @@ func (h *Hierarchy) Flush() {
 // LLCStateOf reports whether line l is present in the LLC and dirty there.
 // Exposed for tests.
 func (h *Hierarchy) LLCStateOf(l mem.Line) (present, dirty bool) {
-	if h.llc == nil {
+	if !h.cfg.HasLLC() {
 		return false, false
 	}
 	if s := h.llcLookup(l); s != nil {

@@ -70,9 +70,11 @@ func TestLoadHitAfterLoad(t *testing.T) {
 func TestSilentUpgradeEtoM(t *testing.T) {
 	h := newTest(t, DefaultConfig())
 	h.Access(0, addr(1, 0), false) // E
+	var events []Event
+	h.SetEventSink(func(ev Event) { events = append(events, ev) })
 	res := h.Access(0, addr(1, 0), true)
-	if !res.HitL1 || len(res.Events) != 0 {
-		t.Errorf("E→M upgrade should be silent, got %+v", res)
+	if !res.HitL1 || len(events) != 0 {
+		t.Errorf("E→M upgrade should be silent, got %+v, events %+v", res, events)
 	}
 	if st := h.StateOf(0, mem.LineOf(addr(1, 0))); st != Modified {
 		t.Errorf("state = %v, want M", st)
@@ -208,12 +210,14 @@ func TestInvalidationOnUpgrade(t *testing.T) {
 	h := newTest(t, DefaultConfig())
 	h.Access(0, addr(5, 0), false) // core0: E
 	h.Access(1, addr(5, 0), false) // both S
+	var events []Event
+	h.SetEventSink(func(ev Event) { events = append(events, ev) })
 	res := h.Access(0, addr(5, 0), true)
 	if !res.HitL1 {
 		t.Errorf("S→M upgrade should hit locally, got %+v", res)
 	}
 	var sawInv bool
-	for _, ev := range res.Events {
+	for _, ev := range events {
 		if ev.Kind == EvInvalidation {
 			sawInv = true
 		}

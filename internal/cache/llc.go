@@ -23,25 +23,13 @@ type llcLine struct {
 	lru   uint64
 }
 
-type llc struct {
-	sets [][]llcLine
-}
-
-func newLLC(sets, ways int) *llc {
-	l := &llc{sets: make([][]llcLine, sets)}
-	for i := range l.sets {
-		l.sets[i] = make([]llcLine, 0, ways)
-	}
-	return l
-}
-
 func (h *Hierarchy) llcSetIndex(l mem.Line) int {
 	return int(uint64(l) % uint64(h.cfg.L2Sets))
 }
 
 // llcLookup returns the LLC slot holding line, or nil.
 func (h *Hierarchy) llcLookup(l mem.Line) *llcLine {
-	set := h.llc.sets[h.llcSetIndex(l)]
+	set := h.llc.set(h.llcSetIndex(l))
 	for i := range set {
 		if set[i].valid && set[i].line == l {
 			return &set[i]
@@ -53,17 +41,16 @@ func (h *Hierarchy) llcLookup(l mem.Line) *llcLine {
 // llcInstall places line into the LLC, evicting an LRU victim if the set is
 // full. Eviction enforces inclusion: every L1 copy of the victim is
 // dropped, recalling dirty data, and dirty victims write back to memory.
-func (h *Hierarchy) llcInstall(l mem.Line, dirty bool, ctx Context, res *Result) {
+func (h *Hierarchy) llcInstall(l mem.Line, dirty bool, ctx Context) {
 	idx := h.llcSetIndex(l)
-	set := h.llc.sets[idx]
+	set := h.llc.set(idx)
 	for i := range set {
 		if !set[i].valid {
 			set[i] = llcLine{line: l, valid: true, dirty: dirty, lru: h.tick}
 			return
 		}
 	}
-	if len(set) < h.cfg.L2Ways {
-		h.llc.sets[idx] = append(set, llcLine{line: l, valid: true, dirty: dirty, lru: h.tick})
+	if h.llc.add(idx, llcLine{line: l, valid: true, dirty: dirty, lru: h.tick}) {
 		return
 	}
 	victim := 0
@@ -72,32 +59,28 @@ func (h *Hierarchy) llcInstall(l mem.Line, dirty bool, ctx Context, res *Result)
 			victim = i
 		}
 	}
-	h.evictLLCLine(&set[victim], ctx, res)
+	h.evictLLCLine(&set[victim], ctx)
 	set[victim] = llcLine{line: l, valid: true, dirty: dirty, lru: h.tick}
 }
 
 // evictLLCLine removes one LLC line: back-invalidates all L1 copies
 // (recalling Modified data), and writes dirty data back to memory.
-func (h *Hierarchy) evictLLCLine(v *llcLine, ctx Context, res *Result) {
+func (h *Hierarchy) evictLLCLine(v *llcLine, ctx Context) {
 	h.stats.L2Evictions++
 	dirty := v.dirty
-	for c := range h.cores {
+	for c := range h.cfg.Cores {
 		if w := h.lookup(c, v.line); w != nil {
 			if w.state == Modified || w.state == Owned {
 				dirty = true
 			}
 			w.state = Invalid
 			h.stats.Invalidations++
-			if res != nil {
-				h.emit(Event{Kind: EvInvalidation, Ctx: h.anyCtxOf(c), Src: -1, Line: v.line, Write: false}, res)
-			}
+			h.emit(Event{Kind: EvInvalidation, Ctx: h.anyCtxOf(c), Src: -1, Line: v.line, Write: false})
 		}
 	}
 	if dirty {
 		h.stats.L2Writebacks++
-		if res != nil {
-			h.emit(Event{Kind: EvWriteback, Ctx: ctx, Src: -1, Line: v.line}, res)
-		}
+		h.emit(Event{Kind: EvWriteback, Ctx: ctx, Src: -1, Line: v.line})
 	}
 	v.valid = false
 }
@@ -108,28 +91,26 @@ func (h *Hierarchy) llcTouch(l *llcLine) { l.lru = h.tick }
 // llcWriteback absorbs a dirty line evicted from an L1. Inclusion
 // guarantees the line is present; a defensive install covers the
 // LLC-disabled-mid-run case that cannot happen in practice.
-func (h *Hierarchy) llcWriteback(l mem.Line, ctx Context, res *Result) {
+func (h *Hierarchy) llcWriteback(l mem.Line, ctx Context) {
 	if s := h.llcLookup(l); s != nil {
 		s.dirty = true
 		return
 	}
-	h.llcInstall(l, true, ctx, res)
+	h.llcInstall(l, true, ctx)
 }
 
 // checkInclusion verifies that every valid L1 line is present in the LLC.
 func (h *Hierarchy) checkInclusion() error {
-	if h.llc == nil {
+	if !h.cfg.HasLLC() {
 		return nil
 	}
-	for c := range h.cores {
-		for _, set := range h.cores[c].sets {
-			for _, w := range set {
-				if w.state == Invalid {
-					continue
-				}
-				if h.llcLookup(w.line) == nil {
-					return fmt.Errorf("cache: inclusion violated: core %d holds %v absent from LLC", c, w.line)
-				}
+	for si := range h.l1.fill {
+		for _, w := range h.l1.set(si) {
+			if w.state == Invalid {
+				continue
+			}
+			if h.llcLookup(w.line) == nil {
+				return fmt.Errorf("cache: inclusion violated: core %d holds %v absent from LLC", si/h.cfg.L1Sets, w.line)
 			}
 		}
 	}

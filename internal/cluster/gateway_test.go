@@ -240,6 +240,32 @@ func TestCluster429Propagation(t *testing.T) {
 	}
 }
 
+// TestGatewayRejectsOversizedMachine: a machine larger than the simulator
+// can build is a 400 at the edge; no backend sees the request.
+func TestGatewayRejectsOversizedMachine(t *testing.T) {
+	var hits atomic.Int64
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		hits.Add(1)
+		w.WriteHeader(http.StatusInternalServerError)
+	}))
+	t.Cleanup(backend.Close)
+	_, cl := newGateway(t, Config{Backends: []Backend{{Name: "b1", URL: backend.URL}}})
+
+	for _, body := range []string{`{"kernel":"racy_flag","cores":65}`, `{"kernel":"racy_flag","smt":9}`} {
+		resp, err := http.Post(cl.BaseURL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST: %v", err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("body %s: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	if n := hits.Load(); n != 0 {
+		t.Fatalf("backend saw %d requests, want 0", n)
+	}
+}
+
 // TestClusterHealthEvictionReadmission drives the probe state machine: a
 // backend whose /healthz starts failing is evicted after FailAfter
 // consecutive probes and readmitted on the first success.

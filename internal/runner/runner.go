@@ -11,16 +11,19 @@
 //
 // Purity also makes Run safe to call from many goroutines at once, on the
 // same or different programs: every piece of mutable state (caches, PMU,
-// detectors, accumulators) is built inside the call, and the Program is
-// never written after construction. RunPoliciesParallel and ExploreWorkers
-// exploit this through internal/parallel's bounded worker pool; their
-// results are merged in submission order, so they are drop-in replacements
-// for the serial loops with byte-identical output.
+// detectors, accumulators) is owned by the call, and the Program is never
+// written after construction. The cache hierarchy comes from a pool, but
+// it is Reset to its just-constructed state before it is pooled, so reuse
+// is invisible to the run. RunPoliciesParallel and ExploreWorkers exploit
+// this through internal/parallel's bounded worker pool; their results are
+// merged in submission order, so they are drop-in replacements for the
+// serial loops with byte-identical output.
 package runner
 
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"demandrace/internal/cache"
 	"demandrace/internal/cost"
@@ -379,7 +382,8 @@ func RunContext(ctx context.Context, p *program.Program, cfg Config) (*Report, e
 	}
 	cfg = cfg.normalized()
 
-	hier := cache.New(cfg.Cache)
+	hier := acquireHierarchy(cfg.Cache)
+	defer releaseHierarchy(hier)
 	pmu := perf.New(cfg.PMU)
 	hier.SetEventSink(pmu.Observe)
 
@@ -481,6 +485,29 @@ func RunContext(ctx context.Context, p *program.Program, cfg Config) (*Report, e
 	}
 	publishMetrics(cfg.Metrics, rep)
 	return rep, nil
+}
+
+// hierPool holds reset hierarchies between runs. sync.Pool keeps one per P,
+// so each internal/parallel worker tends to get back the hierarchy it
+// released: a run's line storage (0.9 MB for the default LLC) is
+// allocated once per worker, not once per run.
+var hierPool sync.Pool
+
+// acquireHierarchy returns a just-constructed-equivalent hierarchy for cfg,
+// reusing a pooled one when its configuration is equal.
+func acquireHierarchy(cfg cache.Config) *cache.Hierarchy {
+	if h, ok := hierPool.Get().(*cache.Hierarchy); ok && h.Config() == cfg {
+		return h
+	}
+	return cache.New(cfg)
+}
+
+// releaseHierarchy resets h before pooling it, which also detaches the
+// run's PMU sink and tracer: a pooled hierarchy pins nothing of a finished
+// run.
+func releaseHierarchy(h *cache.Hierarchy) {
+	h.Reset()
+	hierPool.Put(h)
 }
 
 // RunPolicies runs p once per policy under otherwise identical

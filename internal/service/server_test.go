@@ -305,6 +305,8 @@ func TestSubmitValidation(t *testing.T) {
 	for _, body := range []string{
 		`{"kernel":"no_such_kernel"}`,
 		`{"kernel":"racy_flag","policy":"bogus"}`,
+		`{"kernel":"racy_flag","cores":65}`,
+		`{"kernel":"racy_flag","smt":9}`,
 		`{}`,
 		`not json`,
 	} {

@@ -160,7 +160,30 @@ func (r Request) normalized() Request {
 	return r
 }
 
-// Validate checks the request against the bundled kernels and policy names.
+// Bounds on the simulated machine a request may ask for. The default LLC
+// (2048 sets × 16 ways) is inclusive, so it holds the L1s (64 sets × 8 ways)
+// of at most 64 cores; more would fail cache construction. MaxSMT caps
+// hardware contexts per core at the widest SMT shipped in practice, since
+// per-context PMU and scheduler state grows with Cores × SMT.
+const (
+	MaxCores = 64
+	MaxSMT   = 8
+)
+
+// ValidateMachine checks a simulated machine shape against [1, MaxCores]
+// cores and [1, MaxSMT] contexts per core.
+func ValidateMachine(cores, smt int) error {
+	if cores < 1 || cores > MaxCores {
+		return fmt.Errorf("cores must be in [1,%d], got %d", MaxCores, cores)
+	}
+	if smt < 1 || smt > MaxSMT {
+		return fmt.Errorf("smt must be in [1,%d], got %d", MaxSMT, smt)
+	}
+	return nil
+}
+
+// Validate checks the request against the bundled kernels, policy names
+// and machine bounds.
 func (r Request) Validate() error {
 	if r.Kernel == "" {
 		return errors.New("service: request missing kernel")
@@ -169,6 +192,9 @@ func (r Request) Validate() error {
 		return fmt.Errorf("service: unknown kernel %q", r.Kernel)
 	}
 	n := r.normalized()
+	if err := ValidateMachine(n.Cores, n.SMT); err != nil {
+		return fmt.Errorf("service: %w", err)
+	}
 	if _, err := demand.ParsePolicy(n.Policy); err != nil {
 		return fmt.Errorf("service: %w", err)
 	}
