@@ -1,12 +1,14 @@
 package demandrace_test
 
 import (
+	"bytes"
 	"testing"
 
 	"demandrace"
 	"demandrace/internal/detector"
 	"demandrace/internal/experiments"
 	"demandrace/internal/mem"
+	"demandrace/internal/trace"
 	"demandrace/internal/vclock"
 )
 
@@ -187,3 +189,68 @@ func BenchmarkFig7Sweep(b *testing.B) { benchExperiment(b, experiments.Fig7) }
 
 // BenchmarkTab6Protocol regenerates the MESI-vs-MOESI ablation (E11).
 func BenchmarkTab6Protocol(b *testing.B) { benchExperiment(b, experiments.Tab6) }
+
+// ---- trace decode: the decode.binary and decode.stream ledger rows ----
+
+var uploadTraceRaw []byte
+
+// uploadTrace returns the DRT1 encoding of canneal recorded the way the
+// trace-upload benchmark workload records it: 4 threads, scale 32, under
+// continuous analysis (about 1.2 MB and 168k events).
+func uploadTrace(b *testing.B) []byte {
+	b.Helper()
+	if uploadTraceRaw == nil {
+		k, ok := demandrace.KernelByName("canneal")
+		if !ok {
+			b.Fatal("kernel canneal missing")
+		}
+		p := k.Build(demandrace.KernelConfig{Threads: 4, Scale: 32})
+		rec := demandrace.NewTraceRecorder(p.Name)
+		cfg := demandrace.DefaultConfig().WithPolicy(demandrace.Continuous)
+		cfg.Tracer = rec
+		if _, err := demandrace.Run(p, cfg); err != nil {
+			b.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := trace.EncodeBinary(&buf, rec.Trace()); err != nil {
+			b.Fatal(err)
+		}
+		uploadTraceRaw = buf.Bytes()
+	}
+	return uploadTraceRaw
+}
+
+// BenchmarkTraceDecode decodes the upload trace in one call, as a batch
+// upload does.
+func BenchmarkTraceDecode(b *testing.B) {
+	raw := uploadTrace(b)
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := trace.DecodeBinary(bytes.NewReader(raw)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTraceStreamDecode feeds the upload trace to a StreamDecoder in
+// 1 KiB chunks, so events straddle most chunk boundaries.
+func BenchmarkTraceStreamDecode(b *testing.B) {
+	const chunk = 1 << 10
+	raw := uploadTrace(b)
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d := trace.NewStreamDecoder(trace.DefaultDecodeLimits)
+		for off := 0; off < len(raw); off += chunk {
+			if _, err := d.Feed(raw[off:min(off+chunk, len(raw))]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := d.Finish(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

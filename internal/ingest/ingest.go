@@ -11,8 +11,9 @@
 //     the stored CRC so a *different* payload under an old seq is caught;
 //     one above it is a gap the client must resync from (the status
 //     endpoint reports the high-water mark to resume at).
-//   - Analysis rides the stream. Each applied chunk feeds an incremental
-//     decoder (trace.StreamDecoder) whose completed events advance a live
+//   - Analysis rides the stream. Each applied chunk feeds
+//     trace.StreamDecoder (the one DRT1 parser; the batch upload path
+//     runs it as a single Feed), and its completed events advance a live
 //     detector (trace.LiveReplay), so races surface while the upload is
 //     still in flight — as partial reports and race_found bus events —
 //     instead of after a post-hoc batch replay. The commit-time result is
@@ -20,7 +21,7 @@
 //   - Backpressure is explicit. Session quota and concurrent-apply bounds
 //     reject with typed errors the HTTP layer maps to 429 + Retry-After;
 //     per-chunk and whole-stream size caps map to 413 via the same
-//     *trace.LimitError the batch decoder uses.
+//     *trace.LimitError a batch upload gets.
 //
 // Idle sessions are garbage-collected: an upload abandoned mid-stream
 // cannot pin detector shadow state forever.

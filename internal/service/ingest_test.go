@@ -116,6 +116,22 @@ func TestStreamedOneByteChunks(t *testing.T) {
 	}
 }
 
+// TestTrailingByteRejectedBatchAndStreamed: one byte past the declared
+// events fails a batch upload with 400, and streaming the same bytes fails
+// too — both paths run the one DRT1 parser.
+func TestTrailingByteRejectedBatchAndStreamed(t *testing.T) {
+	raw := append(recordKernelTrace(t, "racy_flag"), 0)
+	_, _, cl := newTestServer(t, Config{Workers: 1, CacheEntries: -1})
+	ctx := context.Background()
+	_, err := cl.SubmitTrace(ctx, bytes.NewReader(raw), TraceOptions{})
+	if apiErr, ok := err.(*APIError); !ok || apiErr.Code != http.StatusBadRequest {
+		t.Fatalf("batch upload with a trailing byte: %v, want a 400", err)
+	}
+	if _, err := cl.StreamTrace(ctx, raw, TraceOptions{}, StreamOptions{ChunkBytes: 1 << 12}); err == nil {
+		t.Fatal("streamed upload with a trailing byte accepted")
+	}
+}
+
 // TestStreamedSharesCacheWithBatch: the streamed commit lands on the same
 // content address as a batch upload of the same bytes, so the reverse
 // submission order is a cache hit.

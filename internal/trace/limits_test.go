@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 
 	"demandrace/internal/program"
@@ -82,5 +84,34 @@ func TestDecodeBinaryDefaultLimitsRoundTrip(t *testing.T) {
 	}
 	if got.Program != tr.Program || len(got.Events) != len(tr.Events) {
 		t.Fatalf("round trip lost data: %d events vs %d", len(got.Events), len(tr.Events))
+	}
+}
+
+// TestPartiesNotAllocatedBeforeTheirBytes feeds a 20-byte trace whose one
+// barrier event declares the maximum party count: the decoder must wait
+// for the bytes (each party is at least one) instead of allocating the
+// list, whether the input arrives at once or a byte at a time.
+func TestPartiesNotAllocatedBeforeTheirBytes(t *testing.T) {
+	raw := append([]byte("DRT1\x01p\x01"), flagBarrier, byte(program.OpBarrier), 0, 0, 0, 0, 0)
+	raw = binary.AppendUvarint(raw, maxParties)
+	raw = append(raw, 1, 2, 3)
+	for _, chunk := range []int{len(raw), 1} {
+		var err error
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		d := NewStreamDecoder(DecodeLimits{})
+		for off := 0; off < len(raw) && err == nil; off += chunk {
+			_, err = d.Feed(raw[off:min(off+chunk, len(raw))])
+		}
+		if err == nil {
+			err = d.Finish()
+		}
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("chunk %d: truncated party list accepted", chunk)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 16<<10 {
+			t.Fatalf("chunk %d: decoding %d bytes allocated %d bytes", chunk, len(raw), got)
+		}
 	}
 }

@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"demandrace/internal/detector"
-	"demandrace/internal/program"
-)
+import "demandrace/internal/detector"
 
 // LiveReplay advances detector shadow state incrementally as events arrive,
 // without knowing the trace's final dimensions up front. The detector is
@@ -24,8 +21,8 @@ type LiveReplay struct {
 	det    *detector.Detector
 	events []Event
 
-	threads, mutexes, sems int
-	rebuilds               int
+	dims     dims
+	rebuilds int
 }
 
 // NewLiveReplay starts an empty live replay with the given detector options.
@@ -35,32 +32,10 @@ func NewLiveReplay(opt detector.Options) *LiveReplay {
 
 // Apply feeds one event. Events must arrive in trace order.
 func (l *LiveReplay) Apply(e Event) {
-	grew := false
-	if need := int(e.TID) + 1; need > l.threads {
-		l.threads = need
-		grew = true
-	}
-	for _, p := range e.Parties {
-		if need := int(p) + 1; need > l.threads {
-			l.threads = need
-			grew = true
-		}
-	}
-	switch e.Kind {
-	case program.OpLock, program.OpUnlock:
-		if need := int(e.Sync) + 1; need > l.mutexes {
-			l.mutexes = need
-			grew = true
-		}
-	case program.OpSignal, program.OpWait:
-		if need := int(e.Sync) + 1; need > l.sems {
-			l.sems = need
-			grew = true
-		}
-	}
+	grew := l.dims.cover(e)
 	l.events = append(l.events, e)
 	if l.det == nil || grew {
-		l.det = detector.New(l.threads, l.mutexes, l.sems, l.opt)
+		l.det = detector.New(l.dims.threads, l.dims.mutexes, l.dims.sems, l.opt)
 		l.rebuilds++
 		for _, ev := range l.events {
 			ApplyEvent(l.det, ev)
@@ -94,7 +69,7 @@ func (l *LiveReplay) Events() []Event { return l.events }
 
 // Dims returns the dimensions inferred so far.
 func (l *LiveReplay) Dims() (threads, mutexes, sems int) {
-	return l.threads, l.mutexes, l.sems
+	return l.dims.threads, l.dims.mutexes, l.dims.sems
 }
 
 // Rebuilds returns how many times the detector was rebuilt for dimension

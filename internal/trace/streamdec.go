@@ -11,23 +11,20 @@ import (
 	"demandrace/internal/vclock"
 )
 
-// StreamDecoder is the incremental counterpart to DecodeBinaryLimited: it
-// accepts the DRT1 byte stream in arbitrary fragments (down to one byte at
-// a time) and yields events as soon as they are complete. The decoder
-// enforces the same DecodeLimits with the same typed *LimitError values as
-// the batch path, so the HTTP layer's 413 mapping works unchanged, and it
-// assigns the same Seq numbering (i+1), so a trace reassembled from a
-// stream is byte-identical to a batch decode of the same input.
+// StreamDecoder is the DRT1 parser. It accepts the byte stream in
+// arbitrary fragments (down to one byte at a time) and yields events as
+// soon as they are complete; DecodeBinaryLimited is one Feed of the whole
+// input. Every bound lives here: the DecodeLimits byte and event caps and
+// the name, party and label caps (as typed *LimitError values the HTTP
+// layer answers with 413), the rejection of bytes past the declared event
+// count, and the Seq numbering (i+1).
 //
 // Errors are sticky: once Feed or Finish fails, every later call returns
-// the same error. One deliberate divergence from the batch decoder: bytes
-// past the declared event count are an error here (the batch decoder never
-// reads them), because on an upload session trailing garbage means a
-// client bug worth surfacing, not padding worth ignoring.
+// the same error.
 type StreamDecoder struct {
 	lim DecodeLimits
 
-	buf []byte // unconsumed bytes, compacted after each Feed
+	buf []byte // unconsumed tail of the last Feed: one partial header or event
 	fed int64  // total bytes accepted across all Feeds
 
 	headerDone bool
@@ -38,8 +35,12 @@ type StreamDecoder struct {
 	err error
 }
 
+// minEventBytes is the shortest encoded event: flags, kind, and five
+// one-byte varints.
+const minEventBytes = 7
+
 // NewStreamDecoder builds a decoder bounded by lim (zero fields mean
-// unlimited, mirroring DecodeBinaryLimited).
+// unlimited).
 func NewStreamDecoder(lim DecodeLimits) *StreamDecoder {
 	return &StreamDecoder{lim: lim}
 }
@@ -54,12 +55,6 @@ func (d *StreamDecoder) Decoded() uint64 { return d.decoded }
 // header parses).
 func (d *StreamDecoder) Declared() uint64 { return d.declared }
 
-// BytesFed returns the total bytes accepted so far.
-func (d *StreamDecoder) BytesFed() int64 { return d.fed }
-
-// Err returns the sticky decode error, if any.
-func (d *StreamDecoder) Err() error { return d.err }
-
 // fail latches err and returns it.
 func (d *StreamDecoder) fail(err error) error {
 	d.err = err
@@ -68,56 +63,51 @@ func (d *StreamDecoder) fail(err error) error {
 
 // Feed appends p to the stream and returns every event completed by it.
 // Events already returned are never re-returned; a fragment that ends
-// mid-event is buffered until the rest arrives.
+// mid-event is buffered until the rest arrives. p is not retained.
 func (d *StreamDecoder) Feed(p []byte) ([]Event, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
 	d.fed += int64(len(p))
 	if d.lim.MaxBytes > 0 && d.fed > d.lim.MaxBytes {
-		// Same error value the batch limitReader produces at its cap.
 		return nil, d.fail(&LimitError{What: "bytes", Limit: uint64(d.lim.MaxBytes), Got: uint64(d.lim.MaxBytes)})
 	}
-	d.buf = append(d.buf, p...)
-
-	var out []Event
+	b := p
+	if len(d.buf) > 0 {
+		d.buf = append(d.buf, p...)
+		b = d.buf
+	}
 	off := 0
-	for {
-		if !d.headerDone {
-			n, err := d.parseHeader(d.buf[off:])
-			if err != nil {
-				return out, d.fail(err)
-			}
-			if n == 0 {
-				break // need more bytes
-			}
-			off += n
-			continue
+	if !d.headerDone {
+		n, err := d.parseHeader(b)
+		if err != nil {
+			return nil, d.fail(err)
 		}
-		if d.decoded == d.declared {
-			if off < len(d.buf) {
-				return out, d.fail(fmt.Errorf("trace: %d bytes past the declared %d events",
-					len(d.buf)-off, d.declared))
-			}
-			break
-		}
-		ev, n, err := parseStreamEvent(d.buf[off:])
+		off = n
+	}
+	var out []Event
+	for d.headerDone && d.decoded < d.declared {
+		ev, n, err := parseStreamEvent(b[off:])
 		if err != nil {
 			return out, d.fail(err)
 		}
 		if n == 0 {
 			break // need more bytes
 		}
+		if out == nil {
+			// Sized once: no more events than the bytes in hand can hold.
+			out = make([]Event, 0, min(d.declared-d.decoded, uint64(len(b)-off)/minEventBytes))
+		}
 		off += n
 		d.decoded++
 		ev.Seq = d.decoded
 		out = append(out, ev)
 	}
-	// Compact: drop the consumed prefix so the buffer only ever holds one
-	// partial header or event.
-	if off > 0 {
-		d.buf = append(d.buf[:0], d.buf[off:]...)
+	if d.headerDone && d.decoded == d.declared && off < len(b) {
+		return out, d.fail(fmt.Errorf("trace: %d bytes past the declared %d events",
+			len(b)-off, d.declared))
 	}
+	d.buf = append(d.buf[:0], b[off:]...)
 	return out, nil
 }
 
@@ -221,6 +211,9 @@ func parseStreamEvent(b []byte) (Event, int, error) {
 		off += n
 		if np > maxParties {
 			return Event{}, 0, &LimitError{What: "barrier parties", Limit: maxParties, Got: np}
+		}
+		if uint64(len(b)-off) < np {
+			return Event{}, 0, nil // each party is at least one byte
 		}
 		e.Parties = make([]vclock.TID, np)
 		for j := range e.Parties {

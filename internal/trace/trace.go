@@ -13,7 +13,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 
@@ -176,27 +175,40 @@ func Summarize(tr *Trace) Summary {
 
 // Dims infers (threads, mutexes, semaphores) from the event stream.
 func (tr *Trace) Dims() (threads, mutexes, sems int) {
+	var d dims
 	for _, e := range tr.Events {
-		if int(e.TID) >= threads {
-			threads = int(e.TID) + 1
-		}
-		for _, p := range e.Parties {
-			if int(p) >= threads {
-				threads = int(p) + 1
-			}
-		}
-		switch e.Kind {
-		case program.OpLock, program.OpUnlock:
-			if int(e.Sync) >= mutexes {
-				mutexes = int(e.Sync) + 1
-			}
-		case program.OpSignal, program.OpWait:
-			if int(e.Sync) >= sems {
-				sems = int(e.Sync) + 1
-			}
-		}
+		d.cover(e)
 	}
-	return threads, mutexes, sems
+	return d.threads, d.mutexes, d.sems
+}
+
+// dims is the detector shape a prefix of events needs.
+type dims struct{ threads, mutexes, sems int }
+
+// cover widens d to every thread and sync ID e names (its TID, its
+// barrier parties, and its Sync as a mutex or a semaphore by kind) and
+// reports whether d grew. Trace.Dims and LiveReplay.Apply share it.
+func (d *dims) cover(e Event) bool {
+	grew := widen(&d.threads, int(e.TID))
+	for _, p := range e.Parties {
+		grew = widen(&d.threads, int(p)) || grew
+	}
+	switch e.Kind {
+	case program.OpLock, program.OpUnlock:
+		grew = widen(&d.mutexes, int(e.Sync)) || grew
+	case program.OpSignal, program.OpWait:
+		grew = widen(&d.sems, int(e.Sync)) || grew
+	}
+	return grew
+}
+
+// widen raises *n to id+1 when id is past it.
+func widen(n *int, id int) bool {
+	if id < *n {
+		return false
+	}
+	*n = id + 1
+	return true
 }
 
 // ---- binary encoding ----
@@ -263,23 +275,21 @@ func EncodeBinary(w io.Writer, tr *Trace) error {
 	return bw.Flush()
 }
 
-// Decode limits: length fields in the input are untrusted, so buffers are
-// never pre-allocated beyond these caps (a count larger than the remaining
-// input fails at read time instead of exhausting memory).
+// Decode limits: length fields in the input are untrusted, so no buffer is
+// sized from one before the bytes it describes are in hand.
 const (
-	maxNameLen  = 1 << 12
-	maxStrLen   = 1 << 16
-	maxParties  = 1 << 16
-	preallocCap = 1 << 12
+	maxNameLen = 1 << 12
+	maxStrLen  = 1 << 16
+	maxParties = 1 << 16
 )
 
-// DecodeLimits bounds what DecodeBinaryLimited will accept from an
-// untrusted trace. Zero fields mean "no bound for this dimension".
+// DecodeLimits bounds what DecodeBinaryLimited and StreamDecoder accept
+// from an untrusted trace. Zero fields mean "no bound for this dimension".
 type DecodeLimits struct {
 	// MaxEvents caps the event count a trace may declare (and decode).
 	MaxEvents uint64
-	// MaxBytes caps the total bytes consumed from the reader. Enforcement
-	// is within one bufio read-ahead (4 KiB) of exact.
+	// MaxBytes caps the total bytes of input, exactly: one byte more is a
+	// *LimitError.
 	MaxBytes int64
 }
 
@@ -304,30 +314,6 @@ func (e *LimitError) Error() string {
 	return fmt.Sprintf("trace: %s %d exceeds decode limit %d", e.What, e.Got, e.Limit)
 }
 
-// limitReader fails with a typed *LimitError once more than cap bytes have
-// been consumed (cap <= 0 disables the bound).
-type limitReader struct {
-	r         io.Reader
-	cap       int64 // configured bound, for the error message
-	remaining int64 // budget left; <0 means unlimited
-}
-
-func (l *limitReader) Read(p []byte) (int, error) {
-	if l.remaining >= 0 {
-		if l.remaining == 0 {
-			return 0, &LimitError{What: "bytes", Limit: uint64(l.cap), Got: uint64(l.cap)}
-		}
-		if int64(len(p)) > l.remaining {
-			p = p[:l.remaining]
-		}
-	}
-	n, err := l.r.Read(p)
-	if l.remaining >= 0 {
-		l.remaining -= int64(n)
-	}
-	return n, err
-}
-
 // DecodeBinary reads a trace written by EncodeBinary, bounded by
 // DefaultDecodeLimits.
 func DecodeBinary(r io.Reader) (*Trace, error) {
@@ -335,102 +321,26 @@ func DecodeBinary(r io.Reader) (*Trace, error) {
 }
 
 // DecodeBinaryLimited reads a trace written by EncodeBinary, refusing input
-// that exceeds lim with a *LimitError. The limits guard allocation, not just
-// parsing: a declared event count beyond MaxEvents fails before any event is
-// decoded, and the reader stops consuming at MaxBytes.
+// that exceeds lim with a *LimitError. It reads at most MaxBytes+1 bytes
+// and hands them to a StreamDecoder in one Feed, so a batch decode and a
+// streamed one accept exactly the same inputs.
 func DecodeBinaryLimited(r io.Reader, lim DecodeLimits) (*Trace, error) {
-	lr := &limitReader{r: r, cap: lim.MaxBytes, remaining: lim.MaxBytes}
-	if lim.MaxBytes <= 0 {
-		lr.remaining = -1
+	if lim.MaxBytes > 0 {
+		r = io.LimitReader(r, lim.MaxBytes+1)
 	}
-	br := bufio.NewReader(lr)
-	var m [4]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
+	raw, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("trace: reading: %w", err)
 	}
-	if m != magic {
-		return nil, errors.New("trace: bad magic (not a DRT1 trace)")
-	}
-	nameLen, err := binary.ReadUvarint(br)
+	d := NewStreamDecoder(lim)
+	events, err := d.Feed(raw)
 	if err != nil {
 		return nil, err
 	}
-	if nameLen > maxNameLen {
-		return nil, &LimitError{What: "program name", Limit: maxNameLen, Got: nameLen}
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
+	if err := d.Finish(); err != nil {
 		return nil, err
 	}
-	count, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	if lim.MaxEvents > 0 && count > lim.MaxEvents {
-		return nil, &LimitError{What: "events", Limit: lim.MaxEvents, Got: count}
-	}
-	// Do not trust count for allocation; events append as they decode.
-	tr := &Trace{Program: string(name), Events: make([]Event, 0, min(count, preallocCap))}
-	for i := uint64(0); i < count; i++ {
-		flags, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		kind, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		e := Event{
-			Seq:      i + 1,
-			Kind:     program.Kind(kind),
-			HITM:     flags&flagHITM != 0,
-			Analyzed: flags&flagAnalyzed != 0,
-		}
-		vals := make([]uint64, 5)
-		for j := range vals {
-			if vals[j], err = binary.ReadUvarint(br); err != nil {
-				return nil, err
-			}
-		}
-		e.TID = vclock.TID(vals[0])
-		e.Ctx = cache.Context(vals[1])
-		e.Addr = mem.Addr(vals[2])
-		e.Sync = program.SyncID(vals[3])
-		e.N = vals[4]
-		if flags&flagBarrier != 0 {
-			np, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, err
-			}
-			if np > maxParties {
-				return nil, &LimitError{What: "barrier parties", Limit: maxParties, Got: np}
-			}
-			e.Parties = make([]vclock.TID, np)
-			for j := range e.Parties {
-				v, err := binary.ReadUvarint(br)
-				if err != nil {
-					return nil, err
-				}
-				e.Parties[j] = vclock.TID(v)
-			}
-		}
-		if flags&flagStr != 0 {
-			n, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, err
-			}
-			if n > maxStrLen {
-				return nil, &LimitError{What: "label", Limit: maxStrLen, Got: n}
-			}
-			buf := make([]byte, n)
-			if _, err := io.ReadFull(br, buf); err != nil {
-				return nil, err
-			}
-			e.Str = string(buf)
-		}
-		tr.Events = append(tr.Events, e)
-	}
-	return tr, nil
+	return &Trace{Program: d.Program(), Events: events}, nil
 }
 
 func writeUvarint(w *bufio.Writer, v uint64) {
