@@ -254,3 +254,30 @@ func BenchmarkTraceStreamDecode(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTraceLiveReplay is a streamed upload's decode and analysis: the
+// upload trace fed to a StreamDecoder in 64 KiB chunks, each chunk's
+// events applied to a LiveReplay as they complete.
+func BenchmarkTraceLiveReplay(b *testing.B) {
+	const chunk = 64 << 10
+	raw := uploadTrace(b)
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d := trace.NewStreamDecoder(trace.DefaultDecodeLimits)
+		live := trace.NewLiveReplay(detector.Options{MaxReportsPerAddr: 1})
+		for off := 0; off < len(raw); off += chunk {
+			evs, err := d.Feed(raw[off:min(off+chunk, len(raw))])
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, e := range evs {
+				live.Apply(e)
+			}
+		}
+		if err := d.Finish(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

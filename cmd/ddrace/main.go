@@ -182,6 +182,9 @@ func run(args []string, out, diag io.Writer) error {
 	if err := service.ValidateMachine(*cores, *smt); err != nil {
 		return fmt.Errorf("invalid -cores/-smt: %w", err)
 	}
+	if err := service.ValidateKernel(*threads, *scale); err != nil {
+		return fmt.Errorf("invalid -threads/-scale: %w", err)
+	}
 	if *submitURL != "" {
 		if *streamIn != "" {
 			opts := service.TraceOptions{FullVC: *fullvc, MaxReports: -1}

@@ -371,6 +371,22 @@ func TestMachineFlagBounds(t *testing.T) {
 	runCLI(t, "-kernel", "micro_private", "-cores", "64", "-smt", "8")
 }
 
+// TestKernelSizeFlagBounds: -threads past the detector's thread bound or
+// -scale past service.MaxScale is the same flag error a submission gets.
+func TestKernelSizeFlagBounds(t *testing.T) {
+	for _, args := range [][]string{
+		{"-kernel", "racy_flag", "-threads", "1024"},
+		{"-kernel", "racy_flag", "-threads", "0"},
+		{"-kernel", "racy_flag", "-scale", "1025"},
+		{"-kernel", "racy_flag", "-scale", "0"},
+	} {
+		err := run(args, io.Discard, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "-threads/-scale") {
+			t.Errorf("%v: err = %v, want a -threads/-scale flag error", args, err)
+		}
+	}
+}
+
 func TestCompareWorkersDeterministic(t *testing.T) {
 	serial := runCLI(t, "-kernel", "micro_private", "-compare", "-workers", "1")
 	wide := runCLI(t, "-kernel", "micro_private", "-compare", "-workers", "8")

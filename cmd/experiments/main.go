@@ -188,7 +188,7 @@ func run(args []string, out, diag io.Writer) error {
 		}
 	}
 	if *benchF != "" || *checkF != "" {
-		doc := buildBenchDoc(eng.Workers(), *threads, *scale, *quick, rows, total, suiteWall)
+		doc := benchSnapshot(eng.Workers(), *threads, *scale, *quick, rows, total, suiteWall)
 		if *benchF != "" {
 			if err := writeBenchJSON(*benchF, doc); err != nil {
 				return err
@@ -268,6 +268,11 @@ func buildBenchDoc(workers, threads, scale int, quick bool,
 	}
 	return doc
 }
+
+// benchSnapshot is the snapshot source -bench-json and -bench-check use.
+// Tests replace it with fixed throughputs, so the ±tol gate is checked on
+// known numbers instead of wall-clock samples.
+var benchSnapshot = buildBenchDoc
 
 // writeBenchJSON saves the snapshot with stable indentation.
 func writeBenchJSON(path string, doc benchDoc) error {

@@ -8,6 +8,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"demandrace/internal/parallel"
 )
 
 func TestVersionFlag(t *testing.T) {
@@ -248,27 +251,43 @@ func TestCheckBenchNewAndMissingExperiments(t *testing.T) {
 	}
 }
 
-// TestBenchCheckEndToEnd runs the CLI twice: snapshot, then self-check. The
-// same machine moments apart must pass its own baseline. Both sides take
-// the same best-of-5, and an untimed first pass warms the process (heap,
-// pooled cache hierarchies), so neither side is a lone cold sample: a fig2
-// pass lasts ~20 ms, short enough for host noise to move one sample past
-// the ±30% band.
+// TestBenchCheckEndToEnd runs the CLI to write a snapshot and then to
+// check against it, with the snapshot source fixed at known throughputs:
+// a run within the ±30% band passes, one outside it fails. The suite
+// itself still runs; only its wall-clock numbers are replaced, so the
+// gate's verdict cannot flip with host noise. The CI bench-regression job
+// keeps the real wall-clock check.
 func TestBenchCheckEndToEnd(t *testing.T) {
+	var rate float64
+	t.Cleanup(func() { benchSnapshot = buildBenchDoc })
+	benchSnapshot = func(workers, threads, scale int, quick bool,
+		rows []parallel.TimingRow, total parallel.Stats, wall time.Duration) benchDoc {
+		doc := buildBenchDoc(workers, threads, scale, quick, rows, total, wall)
+		for i := range doc.Experiments {
+			doc.Experiments[i].RunsPerSec = rate
+		}
+		doc.Total.RunsPerSec = rate
+		return doc
+	}
 	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := run([]string{"-exp", "fig2"}, io.Discard, io.Discard); err != nil {
+	rate = 100
+	if err := run([]string{"-exp", "fig2", "-bench-json", path}, io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-exp", "fig2", "-bench-repeat", "5", "-bench-json", path}, io.Discard, io.Discard); err != nil {
-		t.Fatal(err)
-	}
+	rate = 125
 	var diag bytes.Buffer
-	if err := run([]string{"-exp", "fig2", "-bench-repeat", "5", "-bench-check", path},
-		io.Discard, &diag); err != nil {
-		t.Fatalf("self-check failed: %v\n%s", err, diag.String())
+	if err := run([]string{"-exp", "fig2", "-bench-check", path}, io.Discard, &diag); err != nil {
+		t.Fatalf("+25%% failed the ±30%% gate: %v\n%s", err, diag.String())
 	}
 	if !strings.Contains(diag.String(), "bench check vs") {
 		t.Errorf("diag missing check table:\n%s", diag.String())
+	}
+	for _, r := range []float64{135, 65} {
+		rate = r
+		err := run([]string{"-exp", "fig2", "-bench-check", path}, io.Discard, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "outside the ±30% band") {
+			t.Errorf("%.0f runs/s against a 100 runs/s baseline: err = %v, want a band violation", r, err)
+		}
 	}
 }
 

@@ -241,7 +241,8 @@ func TestCluster429Propagation(t *testing.T) {
 }
 
 // TestGatewayRejectsOversizedMachine: a machine larger than the simulator
-// can build is a 400 at the edge; no backend sees the request.
+// can build, or a kernel past the thread or scale bound, is a 400 at the
+// edge; no backend sees the request.
 func TestGatewayRejectsOversizedMachine(t *testing.T) {
 	var hits atomic.Int64
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
@@ -251,7 +252,10 @@ func TestGatewayRejectsOversizedMachine(t *testing.T) {
 	t.Cleanup(backend.Close)
 	_, cl := newGateway(t, Config{Backends: []Backend{{Name: "b1", URL: backend.URL}}})
 
-	for _, body := range []string{`{"kernel":"racy_flag","cores":65}`, `{"kernel":"racy_flag","smt":9}`} {
+	for _, body := range []string{
+		`{"kernel":"racy_flag","cores":65}`, `{"kernel":"racy_flag","smt":9}`,
+		`{"kernel":"racy_flag","threads":1024}`, `{"kernel":"racy_flag","scale":1025}`,
+	} {
 		resp, err := http.Post(cl.BaseURL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatalf("POST: %v", err)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -195,6 +196,36 @@ func TestClusterSessionEventsNamespaced(t *testing.T) {
 		}
 		if !strings.HasPrefix(ev.Job, "solo:s-") {
 			t.Fatalf("%s event job %q not namespaced", ev.Type, ev.Job)
+		}
+	}
+}
+
+// outOfRangeTraces are DRT1 uploads naming thread IDs past
+// vclock.MaxThreads: 0xffffffff (-1 as an int32) in 18 bytes, 65536
+// (which the 16-bit epoch aliases to TID 0) and 203561 (whose per-thread
+// clocks would take ~159 GiB).
+var outOfRangeTraces = map[string]string{
+	"tid -1":     "DRT1\x01p\x01\x02\x00\xff\xff\xff\xff\x0f\x00\x08\x00\x00",
+	"tid 65536":  "DRT1\x01p\x02\x02\x01\x00\x00\x08\x00\x00\x02\x01\x80\x80\x04\x00\x08\x00\x00",
+	"tid 203561": "DRT1\x01p\x01\x02\x00\xa9\xb6\x0c\x00\x08\x00\x00",
+}
+
+// TestClusterOutOfRangeThreadIDsGet413: through ddgate, a trace naming a
+// thread ID past the decode bound is the backend's 413, batch and
+// streamed.
+func TestClusterOutOfRangeThreadIDsGet413(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	_, hs := startBackend(t)
+	_, cl := newGateway(t, Config{Backends: []Backend{{Name: "a", URL: hs.URL}}})
+	for name, raw := range outOfRangeTraces {
+		_, err := cl.SubmitTrace(ctx, strings.NewReader(raw), service.TraceOptions{})
+		if apiErr, ok := err.(*service.APIError); !ok || apiErr.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: batch upload through the gateway: %v, want a 413", name, err)
+		}
+		_, err = cl.StreamTrace(ctx, []byte(raw), service.TraceOptions{}, service.StreamOptions{ChunkBytes: 4})
+		if apiErr, ok := err.(*service.APIError); !ok || apiErr.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: streamed upload through the gateway: %v, want a 413", name, err)
 		}
 	}
 }

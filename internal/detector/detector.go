@@ -158,26 +158,39 @@ type Detector struct {
 }
 
 // New builds a detector for a program with numThreads threads and the given
-// sync-object counts.
+// sync-object counts. The tables are allocated once at those sizes and
+// filled by Grow, the one place a thread is initialised.
 func New(numThreads, mutexes, semaphores int, opt Options) *Detector {
 	d := &Detector{
 		opt:     opt,
-		threads: make([]*vclock.VC, numThreads),
-		regions: make([]uint32, numThreads),
+		threads: make([]*vclock.VC, 0, numThreads),
+		regions: make([]uint32, 0, numThreads),
 		names:   intern.New(),
 		sync:    syncmodel.NewTable(mutexes, semaphores),
 		table:   shadow.NewTable(),
 		perAddr: make(map[mem.Addr]int),
 	}
-	for i := range d.threads {
-		c := vclock.New(numThreads)
+	d.Grow(numThreads, mutexes, semaphores)
+	return d
+}
+
+// Grow extends the detector to at least the given thread, mutex and
+// semaphore counts; it never shrinks. A new thread starts at local time 1
+// with every other entry 0, and a new mutex or semaphore at the zero
+// clock. Clocks read missing tail entries as zero, so a detector grown as
+// a trace names new IDs is in the same state as one sized up front to the
+// final dimensions.
+func (d *Detector) Grow(threads, mutexes, sems int) {
+	d.sync.Grow(mutexes, sems)
+	for i := len(d.threads); i < threads; i++ {
+		c := vclock.New(threads)
 		// Each thread starts at local time 1 so epochs are never zero and
 		// thread starts are mutually concurrent (all pre-start work is the
 		// root's, which our programs do not model).
 		c.Set(vclock.TID(i), 1)
-		d.threads[i] = c
+		d.threads = append(d.threads, c)
+		d.regions = append(d.regions, 0)
 	}
-	return d
 }
 
 // ForProgram builds a detector sized for p.
@@ -193,9 +206,6 @@ func (d *Detector) Stats() Stats { return d.stats }
 
 // SetTracer installs the telemetry tracer (nil disables tracing).
 func (d *Detector) SetTracer(t *obs.Tracer) { d.trace = t }
-
-// ClockOf exposes thread t's clock for tests and the trace annotator.
-func (d *Detector) ClockOf(t vclock.TID) *vclock.VC { return d.threads[t] }
 
 // SetRegion records thread t's current program region; subsequent accesses
 // by t are attributed to it in reports. The label is interned once; repeat

@@ -292,33 +292,70 @@ func diffReports(t *testing.T, label string, got []detector.Report, want []detec
 	}
 }
 
+// lateDimsTrace names threads, mutexes and semaphores for the first time
+// mid-trace (by an access, a mark, a lock, a semaphore wait and barrier
+// parties), so trace.Replay grows its detector while the reference is
+// sized up front.
+func lateDimsTrace() *trace.Trace {
+	op := func(k program.Kind, a mem.Addr, id program.SyncID) program.Op {
+		return program.Op{Kind: k, Addr: a, Sync: id}
+	}
+	rec := trace.NewRecorder("late-dims")
+	rec.RecordOp(0, 0, op(program.OpStore, 64, 0), true, true)
+	rec.RecordOp(1, 1, op(program.OpLoad, 64, 0), true, true)
+	rec.RecordMark(2, 0, "late region")
+	rec.RecordOp(2, 0, op(program.OpStore, 128, 0), false, true)
+	rec.RecordOp(0, 0, op(program.OpLock, 0, 2), false, true)
+	rec.RecordOp(0, 0, op(program.OpStore, 192, 0), false, true)
+	rec.RecordOp(0, 0, op(program.OpUnlock, 0, 2), false, true)
+	rec.RecordOp(3, 1, op(program.OpLock, 0, 2), false, true)
+	rec.RecordOp(3, 1, op(program.OpLoad, 192, 0), false, true)
+	rec.RecordOp(3, 1, op(program.OpUnlock, 0, 2), false, true)
+	rec.RecordOp(1, 1, op(program.OpSignal, 0, 1), false, true)
+	rec.RecordOp(4, 0, op(program.OpWait, 0, 1), false, true)
+	rec.RecordOp(4, 0, op(program.OpLoad, 64, 0), false, true)
+	rec.RecordBarrier(0, []vclock.TID{0, 1, 2, 3, 4, 5}, true)
+	rec.RecordOp(5, 1, op(program.OpLoad, 128, 0), false, true)
+	rec.RecordOp(6, 0, op(program.OpStore, 128, 0), true, true)
+	return rec.Trace()
+}
+
 // TestDifferentialAgainstSeedDetector replays every workload kernel through
 // the production detector and the embedded seed reference, under both the
 // continuous policy (every access analyzed — maximal shadow churn) and the
 // demand policy (sparse analysis — exercises cold/partial shadow state),
-// with both the capped and uncapped report limits and both engines.
+// with both the capped and uncapped report limits and both engines. One
+// more input names its threads and sync objects late, so the production
+// detector grows mid-replay while the reference is sized up front.
 func TestDifferentialAgainstSeedDetector(t *testing.T) {
+	type input struct {
+		name string
+		tr   *trace.Trace
+	}
+	inputs := []input{{"late-dims", lateDimsTrace()}}
 	for _, k := range workloads.All() {
 		for _, pol := range []demand.PolicyKind{demand.Continuous, demand.HITMDemand} {
-			tr := recordKernel(t, k, pol)
-			for _, opt := range []detector.Options{
-				{},
-				{MaxReportsPerAddr: -1},
-				{FullVC: true, MaxReportsPerAddr: -1},
-			} {
-				label := k.Name + "/" + string(pol)
-				if opt.FullVC {
-					label += "/fullvc"
-				}
-				if opt.MaxReportsPerAddr == -1 {
-					label += "/uncapped"
-				}
-				det := trace.Replay(tr, opt)
-				ref := replayRef(tr, opt)
-				diffReports(t, label, det.Reports(), ref.reports)
-				if st := det.Stats(); st.Races != ref.races {
-					t.Errorf("%s: Races = %d, reference counted %d", label, st.Races, ref.races)
-				}
+			inputs = append(inputs, input{k.Name + "/" + string(pol), recordKernel(t, k, pol)})
+		}
+	}
+	for _, in := range inputs {
+		for _, opt := range []detector.Options{
+			{},
+			{MaxReportsPerAddr: -1},
+			{FullVC: true, MaxReportsPerAddr: -1},
+		} {
+			label := in.name
+			if opt.FullVC {
+				label += "/fullvc"
+			}
+			if opt.MaxReportsPerAddr == -1 {
+				label += "/uncapped"
+			}
+			det := trace.Replay(in.tr, opt)
+			ref := replayRef(in.tr, opt)
+			diffReports(t, label, det.Reports(), ref.reports)
+			if st := det.Stats(); st.Races != ref.races {
+				t.Errorf("%s: Races = %d, reference counted %d", label, st.Races, ref.races)
 			}
 		}
 	}

@@ -229,14 +229,13 @@ type Session struct {
 func (s *Session) touchLocked() { s.lastActive = time.Now() }
 
 // Commit is the sealed outcome of a session, everything the service needs
-// to register the job: the reassembled trace, the final detector, the
+// to register the job: the trace's summary, the final detector, the
 // content key, and the session's span recorder (chunk_receive /
 // incremental_decode stages) for the job's waterfall.
 type Commit struct {
-	Trace    *trace.Trace
+	Summary  trace.Summary
 	Detector *detector.Detector
 	Key      string
-	Bytes    int64
 	Rec      *obs.SpanRecorder
 	// JobID is non-empty when the session was already sealed: the commit
 	// is an idempotent replay and the caller should serve the existing
@@ -574,7 +573,7 @@ func (m *Manager) Commit(id string) (*Commit, error) {
 		if s.jobID == "" {
 			return nil, ErrCommitPending
 		}
-		return &Commit{JobID: s.jobID, Key: s.key, Bytes: s.bytes, Rec: s.rec}, nil
+		return &Commit{JobID: s.jobID, Key: s.key, Rec: s.rec}, nil
 	}
 	if err := s.dec.Finish(); err != nil {
 		ie := &IncompleteError{Decoded: s.dec.Decoded(), Declared: s.dec.Declared(), Cause: err}
@@ -589,12 +588,11 @@ func (m *Manager) Commit(id string) (*Commit, error) {
 	m.cCommitted.Inc()
 	m.log.Info("ingest session committed", "session", s.ID,
 		"chunks", len(s.chunks), "bytes", s.bytes, "events", s.dec.Decoded(),
-		"races", len(s.live.Races()), "rebuilds", s.live.Rebuilds())
+		"races", len(s.live.Races()))
 	return &Commit{
-		Trace:    &trace.Trace{Program: s.dec.Program(), Events: s.live.Events()},
+		Summary:  s.live.Summary(s.dec.Program()),
 		Detector: s.live.Detector(),
 		Key:      s.key,
-		Bytes:    s.bytes,
 		Rec:      s.rec,
 	}, nil
 }
@@ -656,9 +654,8 @@ func (m *Manager) Partial(id string) (Partial, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Copy: the live slice grows (and is re-derived on rebuilds) while
-	// other chunks apply.
-	races := append([]detector.Report(nil), s.live.Races()...)
+	// Reports are only ever appended, so the slice as it stands is a
+	// stable snapshot while later chunks apply.
 	return Partial{
 		Session:   s.ID,
 		State:     s.state,
@@ -667,7 +664,7 @@ func (m *Manager) Partial(id string) (Partial, error) {
 		HighWater: uint64(len(s.chunks)),
 		Bytes:     s.bytes,
 		Events:    s.dec.Decoded(),
-		Races:     races,
+		Races:     s.live.Races(),
 	}, nil
 }
 

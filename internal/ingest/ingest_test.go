@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 
 	"demandrace/internal/detector"
 	"demandrace/internal/ingest"
+	"demandrace/internal/mem"
 	"demandrace/internal/obs"
 	"demandrace/internal/obs/stream"
 	"demandrace/internal/program"
@@ -100,11 +102,8 @@ func TestStreamedCommitMatchesBatch(t *testing.T) {
 		if com.Detector.Stats() != want.Stats() {
 			t.Fatalf("size %d: streamed stats %+v, batch %+v", size, com.Detector.Stats(), want.Stats())
 		}
-		if com.Trace.Program != tr.Program {
-			t.Fatalf("program %q, want %q", com.Trace.Program, tr.Program)
-		}
-		if !reflect.DeepEqual(com.Trace.Events, tr.Events) {
-			t.Fatalf("size %d: reassembled events differ", size)
+		if want := trace.Summarize(tr); !reflect.DeepEqual(com.Summary, want) {
+			t.Fatalf("size %d: summary %+v, want %+v", size, com.Summary, want)
 		}
 		wantKey := fmt.Sprintf("%x", sha256.Sum256(raw))
 		if com.Key != wantKey {
@@ -331,6 +330,61 @@ func TestPartialAndBusEvents(t *testing.T) {
 	}
 	if got := reg.CounterValue(obs.IngestRaces); got != 1 {
 		t.Fatalf("ingest races counter %d", got)
+	}
+}
+
+// TestPartialWhileApplying reads partial reports on one goroutine while
+// chunks apply on another. Partial hands out the live, append-only report
+// slice without copying it; under -race this shows the reader never
+// touches an element a later report writes, and the race count only
+// grows.
+func TestPartialWhileApplying(t *testing.T) {
+	rec := trace.NewRecorder("many-races")
+	for i := range 2000 {
+		addr := mem.Addr(64 * (i + 1))
+		rec.RecordOp(0, 0, program.Op{Kind: program.OpStore, Addr: addr}, false, true)
+		rec.RecordOp(1, 1, program.Op{Kind: program.OpStore, Addr: addr}, false, true)
+	}
+	var buf bytes.Buffer
+	if err := trace.EncodeBinary(&buf, rec.Trace()); err != nil {
+		t.Fatal(err)
+	}
+	m := newManager(t, ingest.Config{})
+	st, err := m.Open(ingest.OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i, c := range chunksOf(buf.Bytes(), 256) {
+			if _, err := m.Append(st.Session, uint64(i), c, nil); err != nil {
+				t.Errorf("chunk %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	seen := 0
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		p, err := m.Partial(st.Session)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := json.Marshal(p.Races); err != nil {
+			t.Fatal(err)
+		}
+		if len(p.Races) < seen {
+			t.Fatalf("race count fell from %d to %d", seen, len(p.Races))
+		}
+		seen = len(p.Races)
+	}
+	if seen != 2000 {
+		t.Fatalf("saw %d races at the end, want 2000", seen)
 	}
 }
 

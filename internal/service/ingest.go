@@ -155,7 +155,7 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 // queue, no worker. The result document and cache entry are exactly what
 // the batch path would have produced for the same bytes.
 func (s *Server) completeStreamed(ctx context.Context, sessionID string, com *ingest.Commit) (Status, error) {
-	res := replayResultFrom(com.Trace, com.Detector)
+	res := replayResultFrom(com.Summary, com.Detector)
 	runner.PublishDetectorStats(s.reg, com.Detector.Stats())
 	data, err := json.Marshal(res)
 	if err != nil {
@@ -163,7 +163,7 @@ func (s *Server) completeStreamed(ctx context.Context, sessionID string, com *in
 	}
 	j := &Job{
 		kind:   "trace",
-		name:   com.Trace.Program,
+		name:   com.Summary.Program,
 		key:    com.Key,
 		state:  StateDone,
 		result: data,

@@ -132,6 +132,36 @@ func TestTrailingByteRejectedBatchAndStreamed(t *testing.T) {
 	}
 }
 
+// outOfRangeTraces are DRT1 uploads naming thread IDs past
+// vclock.MaxThreads: 0xffffffff (-1 as an int32) in 18 bytes, 65536
+// (which the 16-bit epoch aliases to TID 0) and 203561 (whose per-thread
+// clocks would take ~159 GiB).
+var outOfRangeTraces = map[string]string{
+	"tid -1":     "DRT1\x01p\x01\x02\x00\xff\xff\xff\xff\x0f\x00\x08\x00\x00",
+	"tid 65536":  "DRT1\x01p\x02\x02\x01\x00\x00\x08\x00\x00\x02\x01\x80\x80\x04\x00\x08\x00\x00",
+	"tid 203561": "DRT1\x01p\x01\x02\x00\xa9\xb6\x0c\x00\x08\x00\x00",
+}
+
+// TestOutOfRangeThreadIDsGet413: a trace naming a thread ID past the
+// decode bound is a 413, batch and streamed (whole and a byte at a time),
+// and never reaches the detector.
+func TestOutOfRangeThreadIDsGet413(t *testing.T) {
+	_, _, cl := newTestServer(t, Config{Workers: 1, CacheEntries: -1})
+	ctx := context.Background()
+	for name, raw := range outOfRangeTraces {
+		_, err := cl.SubmitTrace(ctx, strings.NewReader(raw), TraceOptions{})
+		if apiErr, ok := err.(*APIError); !ok || apiErr.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: batch upload: %v, want a 413", name, err)
+		}
+		for _, chunk := range []int{1, len(raw)} {
+			_, err := cl.StreamTrace(ctx, []byte(raw), TraceOptions{}, StreamOptions{ChunkBytes: chunk})
+			if apiErr, ok := err.(*APIError); !ok || apiErr.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("%s: streamed upload in %d-byte chunks: %v, want a 413", name, chunk, err)
+			}
+		}
+	}
+}
+
 // TestStreamedSharesCacheWithBatch: the streamed commit lands on the same
 // content address as a batch upload of the same bytes, so the reverse
 // submission order is a cache hit.

@@ -467,8 +467,16 @@ func (s *Server) SubmitTrace(ctx context.Context, r io.Reader, opts TraceOptions
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
+			// One pass yields the detector and the summary. Detector work
+			// counters go to the same ddrace_detector_* series as full
+			// simulation runs.
 			_, span := obs.StartSpan(ctx, "analysis")
-			res := replay(tr, opts, s.reg)
+			live := trace.NewLiveReplay(detectorOptions(opts))
+			for _, e := range tr.Events {
+				live.Apply(e)
+			}
+			runner.PublishDetectorStats(s.reg, live.Detector().Stats())
+			res := replayResultFrom(live.Summary(tr.Program), live.Detector())
 			span.End()
 			_, rspan := obs.StartSpan(ctx, "render")
 			data, err := json.Marshal(res)

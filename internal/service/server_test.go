@@ -307,6 +307,8 @@ func TestSubmitValidation(t *testing.T) {
 		`{"kernel":"racy_flag","policy":"bogus"}`,
 		`{"kernel":"racy_flag","cores":65}`,
 		`{"kernel":"racy_flag","smt":9}`,
+		`{"kernel":"racy_flag","threads":1024}`,
+		`{"kernel":"racy_flag","scale":1025}`,
 		`{}`,
 		`not json`,
 	} {

@@ -39,6 +39,7 @@ import (
 	"demandrace/internal/sched"
 	"demandrace/internal/tenant"
 	"demandrace/internal/trace"
+	"demandrace/internal/vclock"
 	"demandrace/internal/workloads"
 )
 
@@ -182,8 +183,25 @@ func ValidateMachine(cores, smt int) error {
 	return nil
 }
 
-// Validate checks the request against the bundled kernels, policy names
-// and machine bounds.
+// MaxScale caps a kernel's iteration multiplier; the largest scale the
+// benchmarks and tests submit is 200.
+const MaxScale = 1024
+
+// ValidateKernel checks a kernel's size against [1, vclock.MaxThreads)
+// threads, the detector's thread bound (past 65535 a TID would also alias
+// in the 16-bit epoch), and [1, MaxScale] scale.
+func ValidateKernel(threads, scale int) error {
+	if threads < 1 || threads >= vclock.MaxThreads {
+		return fmt.Errorf("threads must be in [1,%d], got %d", vclock.MaxThreads-1, threads)
+	}
+	if scale < 1 || scale > MaxScale {
+		return fmt.Errorf("scale must be in [1,%d], got %d", MaxScale, scale)
+	}
+	return nil
+}
+
+// Validate checks the request against the bundled kernels, policy names,
+// kernel size and machine bounds.
 func (r Request) Validate() error {
 	if r.Kernel == "" {
 		return errors.New("service: request missing kernel")
@@ -192,6 +210,9 @@ func (r Request) Validate() error {
 		return fmt.Errorf("service: unknown kernel %q", r.Kernel)
 	}
 	n := r.normalized()
+	if err := ValidateKernel(n.Threads, n.Scale); err != nil {
+		return fmt.Errorf("service: %w", err)
+	}
 	if err := ValidateMachine(n.Cores, n.SMT); err != nil {
 		return fmt.Errorf("service: %w", err)
 	}
@@ -317,8 +338,7 @@ func detectorOptions(opts TraceOptions) detector.Options {
 // batch path and the streaming commit path both produce their JSON through
 // this one function, so a streamed upload's sealed result is byte-identical
 // to the batch result for the same bytes.
-func replayResultFrom(tr *trace.Trace, det *detector.Detector) ReplayResult {
-	s := trace.Summarize(tr)
+func replayResultFrom(s trace.Summary, det *detector.Detector) ReplayResult {
 	return ReplayResult{
 		Program:  s.Program,
 		Events:   s.Events,
@@ -328,15 +348,6 @@ func replayResultFrom(tr *trace.Trace, det *detector.Detector) ReplayResult {
 		Races:    det.Reports(),
 		Stats:    det.Stats(),
 	}
-}
-
-// replay runs the trace-replay job body. Detector work counters are
-// published into reg (nil-safe) so replay jobs show up in the same
-// ddrace_detector_* exposition series as full simulation runs.
-func replay(tr *trace.Trace, opts TraceOptions, reg *obs.Registry) ReplayResult {
-	det := trace.Replay(tr, detectorOptions(opts))
-	runner.PublishDetectorStats(reg, det.Stats())
-	return replayResultFrom(tr, det)
 }
 
 // Job is the service's unit of work. Fields are mutated only under the

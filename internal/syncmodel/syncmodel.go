@@ -25,17 +25,23 @@ type Table struct {
 // NewTable sizes a table for a program's sync objects.
 func NewTable(mutexes, semaphores int) *Table {
 	t := &Table{
-		mutexes: make([]*vclock.VC, mutexes),
-		sems:    make([]*vclock.VC, semaphores),
+		mutexes: make([]*vclock.VC, 0, mutexes),
+		sems:    make([]*vclock.VC, 0, semaphores),
 		atomics: make(map[mem.Addr]*vclock.VC),
 	}
-	for i := range t.mutexes {
-		t.mutexes[i] = vclock.New(0)
-	}
-	for i := range t.sems {
-		t.sems[i] = vclock.New(0)
-	}
+	t.Grow(mutexes, semaphores)
 	return t
+}
+
+// Grow extends the table to at least the given mutex and semaphore
+// counts. New objects start at the zero clock, as NewTable starts them.
+func (t *Table) Grow(mutexes, semaphores int) {
+	for len(t.mutexes) < mutexes {
+		t.mutexes = append(t.mutexes, vclock.New(0))
+	}
+	for len(t.sems) < semaphores {
+		t.sems = append(t.sems, vclock.New(0))
+	}
 }
 
 // Mutex returns the release clock of mutex id.

@@ -12,7 +12,12 @@ import (
 
 // FuzzDecodeBinary asserts the binary decoder never panics and never
 // accepts garbage silently: any input either round-trips as a valid trace
-// or errors.
+// or errors. A decoded trace's replay, which grows its detector as IDs
+// appear, must equal a detector sized up front from Trace.Dims, in
+// reports and in full Stats. The decode bounds on thread and sync IDs keep
+// the replay's per-thread clocks small; the checked-in seeds are inputs
+// that panicked, aliased two threads or asked for gigabytes of clocks
+// before those bounds.
 func FuzzDecodeBinary(f *testing.F) {
 	// Seed with a real trace and a few corruptions of it.
 	tr := recordedTrace(&testing.T{}, "racy_flag", demand.Continuous)
@@ -38,8 +43,8 @@ func FuzzDecodeBinary(f *testing.F) {
 		}
 		// A successfully decoded trace must be safely replayable and
 		// re-encodable.
-		det := trace.Replay(got, detector.Options{})
-		_ = det.Reports()
+		opt := detector.Options{MaxReportsPerAddr: -1}
+		assertSameDetector(t, "fuzz", trace.Replay(got, opt), sizedReplay(got, opt))
 		var out bytes.Buffer
 		if err := trace.EncodeBinary(&out, got); err != nil {
 			t.Fatalf("re-encode of decoded trace failed: %v", err)

@@ -2,77 +2,50 @@ package trace
 
 import "demandrace/internal/detector"
 
-// LiveReplay advances detector shadow state incrementally as events arrive,
-// without knowing the trace's final dimensions up front. The detector is
-// fixed-size, so when an event references a thread or sync object beyond
-// the current dimensions the replay rebuilds: a fresh detector at the
-// grown dimensions re-applies every retained event through the same
-// ApplyEvent the batch path uses. Dimensions only ever grow, so after the
-// last event the final rebuild has replayed the full prefix at the final
-// dimensions and every later event applied incrementally — exactly the
-// sequence Replay performs — which makes the final reports AND stats
-// identical to the batch path on the same events.
+// LiveReplay is the one replay path: it applies each event to a detector
+// once, as the event arrives, and keeps no events. The trace's final
+// dimensions need not be known up front. When an event names a thread or
+// sync object past the current dimensions the detector grows in place
+// (detector.Grow), which leaves it in the state of a detector sized to
+// the final dimensions from the start. Replay is a LiveReplay fed from a
+// slice, and a streamed upload feeds one chunk by chunk, so both report
+// the same races and stats for the same events.
 //
-// Rebuild cost is bounded by the number of dimension increases (at most
-// threads+mutexes+sems, and in practice a handful at the front of a trace
-// where threads first appear), not by chunk count.
+// Alongside the detector it keeps the running Summary counts, which is
+// all a finished upload needs besides the detector.
 type LiveReplay struct {
-	opt    detector.Options
-	det    *detector.Detector
-	events []Event
-
-	dims     dims
-	rebuilds int
+	det  *detector.Detector
+	seen tally
 }
 
 // NewLiveReplay starts an empty live replay with the given detector options.
 func NewLiveReplay(opt detector.Options) *LiveReplay {
-	return &LiveReplay{opt: opt}
+	return &LiveReplay{det: detector.New(0, 0, 0, opt)}
 }
 
 // Apply feeds one event. Events must arrive in trace order.
 func (l *LiveReplay) Apply(e Event) {
-	grew := l.dims.cover(e)
-	l.events = append(l.events, e)
-	if l.det == nil || grew {
-		l.det = detector.New(l.dims.threads, l.dims.mutexes, l.dims.sems, l.opt)
-		l.rebuilds++
-		for _, ev := range l.events {
-			ApplyEvent(l.det, ev)
-		}
-		return
+	if l.seen.add(e) {
+		l.det.Grow(l.seen.threads, l.seen.mutexes, l.seen.sems)
 	}
-	ApplyEvent(l.det, e)
+	applyEvent(l.det, e)
 }
 
-// Detector returns the current detector. With no events applied yet it
-// returns an empty zero-dimension detector — the same thing Replay builds
-// for an empty trace.
-func (l *LiveReplay) Detector() *detector.Detector {
-	if l.det == nil {
-		l.det = detector.New(0, 0, 0, l.opt)
-	}
-	return l.det
+// Detector returns the detector; with no events applied it is the empty
+// zero-dimension detector.
+func (l *LiveReplay) Detector() *detector.Detector { return l.det }
+
+// Races returns the reports found so far. The slice only grows between
+// calls.
+func (l *LiveReplay) Races() []detector.Report { return l.det.Reports() }
+
+// Summary returns the counts of the events applied so far as the Summary
+// of the named program (the event stream does not carry the name).
+func (l *LiveReplay) Summary(program string) Summary {
+	return l.seen.summary(program)
 }
 
-// Races returns the reports found so far. The slice grows monotonically
-// between calls (rebuilds re-derive the same prefix reports in order).
-func (l *LiveReplay) Races() []detector.Report {
-	if l.det == nil {
-		return nil
-	}
-	return l.det.Reports()
-}
-
-// Events returns the retained event sequence (not a copy).
-func (l *LiveReplay) Events() []Event { return l.events }
-
-// Dims returns the dimensions inferred so far.
-func (l *LiveReplay) Dims() (threads, mutexes, sems int) {
-	return l.dims.threads, l.dims.mutexes, l.dims.sems
-}
-
-// Rebuilds returns how many times the detector was rebuilt for dimension
-// growth (observability: a pathological trace interleaving new threads
-// late would show up here).
-func (l *LiveReplay) Rebuilds() int { return l.rebuilds }
+// Rebuilds returns 0: the detector grows in place and is never rebuilt.
+// It is kept only because the benchmark harness in perfbench/ still reads
+// it.
+func (l *LiveReplay) Rebuilds() int { return 0 }

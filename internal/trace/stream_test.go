@@ -3,11 +3,14 @@ package trace_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"demandrace/internal/demand"
 	"demandrace/internal/detector"
+	"demandrace/internal/mem"
 	"demandrace/internal/program"
 	"demandrace/internal/trace"
 	"demandrace/internal/vclock"
@@ -150,6 +153,30 @@ func TestStreamDecoderLimits(t *testing.T) {
 	})
 }
 
+// sizedReplay is the reference LiveReplay is checked against: a detector
+// sized up front to the trace's final dimensions, as replay was before the
+// detector could grow, driven event by event.
+func sizedReplay(tr *trace.Trace, opt detector.Options) *detector.Detector {
+	threads, mutexes, sems := tr.Dims()
+	det := detector.New(threads, mutexes, sems, opt)
+	for _, e := range tr.Events {
+		trace.ApplyEvent(det, e)
+	}
+	return det
+}
+
+// assertSameDetector compares the reports and the full Stats of a grown
+// detector against the sized-up-front reference.
+func assertSameDetector(t *testing.T, label string, got, want *detector.Detector) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Reports(), want.Reports()) {
+		t.Fatalf("%s: reports differ:\n grown %+v\n sized %+v", label, got.Reports(), want.Reports())
+	}
+	if got.Stats() != want.Stats() {
+		t.Fatalf("%s: stats differ: grown %+v, sized %+v", label, got.Stats(), want.Stats())
+	}
+}
+
 func TestLiveReplayMatchesBatch(t *testing.T) {
 	for _, kernel := range []string{"racy_counter", "racy_flag", "histogram", "micro_false_sharing"} {
 		for _, opt := range []detector.Options{
@@ -157,52 +184,86 @@ func TestLiveReplayMatchesBatch(t *testing.T) {
 			{MaxReportsPerAddr: -1, FullVC: true},
 		} {
 			tr := recordedTrace(t, kernel, demand.Continuous)
-			want := trace.Replay(tr, opt)
-
 			live := trace.NewLiveReplay(opt)
 			for _, e := range tr.Events {
 				live.Apply(e)
 			}
-			got := live.Detector()
-			if !reflect.DeepEqual(got.Reports(), want.Reports()) {
-				t.Fatalf("%s %+v: live reports differ from batch", kernel, opt)
-			}
-			if got.Stats() != want.Stats() {
-				t.Fatalf("%s %+v: live stats %+v, want %+v", kernel, opt, got.Stats(), want.Stats())
+			label := fmt.Sprintf("%s %+v", kernel, opt)
+			assertSameDetector(t, label, live.Detector(), sizedReplay(tr, opt))
+			assertSameDetector(t, label+" Replay", trace.Replay(tr, opt), sizedReplay(tr, opt))
+			if sum, want := live.Summary(tr.Program), trace.Summarize(tr); !reflect.DeepEqual(sum, want) {
+				t.Fatalf("%s: live summary %+v, want %+v", label, sum, want)
 			}
 		}
 	}
 }
 
-func TestLiveReplayRebuildsOnLateDims(t *testing.T) {
-	// Threads and sync objects appear in increasing order, forcing a
-	// rebuild per growth step; the result must still match batch replay.
+// lateDimsTrace names every thread, mutex and semaphore for the first
+// time mid-trace, after analysis has already built shadow state: a new
+// thread by an access, by a mark, by a lock, by a semaphore wait and by
+// barrier parties.
+func lateDimsTrace() *trace.Trace {
+	store := func(a mem.Addr) program.Op { return program.Op{Kind: program.OpStore, Addr: a} }
+	load := func(a mem.Addr) program.Op { return program.Op{Kind: program.OpLoad, Addr: a} }
+	sync := func(k program.Kind, id program.SyncID) program.Op { return program.Op{Kind: k, Sync: id} }
 	rec := trace.NewRecorder("late-dims")
-	rec.RecordOp(0, 0, program.Op{Kind: program.OpStore, Addr: 64}, true, true)  // store t0
-	rec.RecordOp(1, 1, program.Op{Kind: program.OpLoad, Addr: 64}, true, true)   // load t1 → race
-	rec.RecordOp(2, 0, program.Op{Kind: program.OpStore, Addr: 128}, true, true) // t2 appears
-	rec.RecordBarrier(0, []vclock.TID{0, 1, 2, 3}, true)                         // t3 via parties
-	rec.RecordOp(3, 1, program.Op{Kind: program.OpLoad, Addr: 128}, false, true) // post-barrier
-	tr := rec.Trace()
+	rec.RecordOp(0, 0, store(64), true, true)
+	rec.RecordOp(1, 1, load(64), true, true) // t1 appears: write-read race
+	rec.RecordMark(2, 0, "late region")      // t2 appears by a mark
+	rec.RecordOp(2, 0, store(128), false, true)
+	rec.RecordOp(0, 0, sync(program.OpLock, 2), false, true) // mutexes 0-2 appear
+	rec.RecordOp(0, 0, store(192), false, true)
+	rec.RecordOp(0, 0, sync(program.OpUnlock, 2), false, true)
+	rec.RecordOp(3, 1, sync(program.OpLock, 2), false, true) // t3 appears, ordered after t0
+	rec.RecordOp(3, 1, load(192), false, true)
+	rec.RecordOp(3, 1, sync(program.OpUnlock, 2), false, true)
+	rec.RecordOp(1, 1, sync(program.OpSignal, 1), false, true) // semaphores 0-1 appear
+	rec.RecordOp(4, 0, sync(program.OpWait, 1), false, true)   // t4 appears, ordered after t1
+	rec.RecordOp(4, 0, load(64), false, true)                  // still races t0's store
+	rec.RecordBarrier(0, []vclock.TID{0, 1, 2, 3, 4, 5}, true) // t5 appears in the parties
+	rec.RecordOp(5, 1, load(128), false, true)                 // ordered by the barrier
+	rec.RecordOp(6, 0, store(128), true, true)                 // t6 races t2 and t5
+	return rec.Trace()
+}
 
-	opt := detector.Options{MaxReportsPerAddr: -1}
-	want := trace.Replay(tr, opt)
-	live := trace.NewLiveReplay(opt)
-	for _, e := range tr.Events {
+func TestLiveReplayGrowsOnLateDims(t *testing.T) {
+	tr := lateDimsTrace()
+	for _, opt := range []detector.Options{{MaxReportsPerAddr: -1}, {MaxReportsPerAddr: -1, FullVC: true}} {
+		live := trace.NewLiveReplay(opt)
+		for _, e := range tr.Events {
+			live.Apply(e)
+		}
+		want := sizedReplay(tr, opt)
+		assertSameDetector(t, fmt.Sprintf("%+v", opt), live.Detector(), want)
+		if len(want.Reports()) < 3 {
+			t.Fatalf("%+v: the trace should race at least 3 times, got %v", opt, want.Reports())
+		}
+		if got, want := live.Summary(tr.Program), trace.Summarize(tr); !reflect.DeepEqual(got, want) {
+			t.Fatalf("live summary %+v, want %+v", got, want)
+		}
+	}
+}
+
+// TestLiveReplayKeepsNoEvents pins that Apply retains nothing per event:
+// once the word's shadow state exists, 100 000 applications of the same
+// event allocate under a fixed budget (retaining each Event would cost at
+// least 104 B apiece, over 10 MB).
+func TestLiveReplayKeepsNoEvents(t *testing.T) {
+	const n, budget = 100_000, 64 << 10
+	live := trace.NewLiveReplay(detector.Options{})
+	e := trace.Event{TID: 3, Kind: program.OpStore, Addr: 64, Analyzed: true}
+	live.Apply(e)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range n {
 		live.Apply(e)
 	}
-	if live.Rebuilds() < 2 {
-		t.Fatalf("expected multiple rebuilds, got %d", live.Rebuilds())
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Fatalf("%d applies allocated %d bytes, budget %d", n, got, budget)
 	}
-	if !reflect.DeepEqual(live.Detector().Reports(), want.Reports()) {
-		t.Fatalf("reports differ:\n live %+v\nbatch %+v", live.Detector().Reports(), want.Reports())
-	}
-	if live.Detector().Stats() != want.Stats() {
-		t.Fatalf("stats differ: live %+v batch %+v", live.Detector().Stats(), want.Stats())
-	}
-	threads, _, _ := live.Dims()
-	if wt, _, _ := tr.Dims(); threads != wt {
-		t.Fatalf("live threads %d, trace dims %d", threads, wt)
+	if s := live.Summary("steady"); s.Events != n+1 || s.Threads != 4 {
+		t.Fatalf("summary %+v, want %d events over 4 threads", s, n+1)
 	}
 }
 

@@ -190,6 +190,11 @@ func parseStreamEvent(b []byte) (Event, int, error) {
 		vals[j] = v
 		off += n
 	}
+	// IDs are bounded as raw values, before the int32 conversion could
+	// wrap one (2^32+1 to 1) or make it negative.
+	if err := boundIDs(vals[0], vals[3]); err != nil {
+		return Event{}, 0, err
+	}
 	e := Event{
 		Kind:     program.Kind(kind),
 		HITM:     flags&flagHITM != 0,
@@ -223,6 +228,9 @@ func parseStreamEvent(b []byte) (Event, int, error) {
 			}
 			if n < 0 {
 				return Event{}, 0, errors.New("trace: malformed barrier party")
+			}
+			if err := boundID("thread ID", v, vclock.MaxThreads); err != nil {
+				return Event{}, 0, err
 			}
 			e.Parties[j] = vclock.TID(v)
 			off += n

@@ -11,6 +11,7 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -99,24 +100,21 @@ func (r *Recorder) RecordBarrier(id program.SyncID, parties []vclock.TID, analyz
 // Trace returns the recorded trace.
 func (r *Recorder) Trace() *Trace { return &r.tr }
 
-// Replay feeds a trace's analyzed events through a fresh detector built
-// with opt and returns it. Thread and sync-object counts are inferred from
-// the trace.
+// Replay feeds a trace's events through a LiveReplay built with opt and
+// returns its detector. Thread and sync-object counts are inferred from
+// the trace as it is applied.
 func Replay(tr *Trace, opt detector.Options) *detector.Detector {
-	threads, mutexes, sems := tr.Dims()
-	det := detector.New(threads, mutexes, sems, opt)
+	l := NewLiveReplay(opt)
 	for _, e := range tr.Events {
-		ApplyEvent(det, e)
+		l.Apply(e)
 	}
-	return det
+	return l.Detector()
 }
 
-// ApplyEvent feeds one event into det: mark events always set the region,
-// everything else is gated on the event having been analyzed. This is the
-// single event→detector mapping — batch Replay and the streaming
-// LiveReplay both go through it, which is what makes their final detector
-// states identical on the same event sequence.
-func ApplyEvent(det *detector.Detector, e Event) {
+// applyEvent feeds one event into det: mark events always set the region,
+// everything else is gated on the event having been analyzed. It is the
+// single event→detector mapping, used by LiveReplay.Apply.
+func applyEvent(det *detector.Detector, e Event) {
 	if e.Kind == program.OpMark {
 		det.SetRegion(e.TID, e.Str)
 		return
@@ -158,16 +156,43 @@ type Summary struct {
 
 // Summarize computes a trace's Summary.
 func Summarize(tr *Trace) Summary {
-	threads, _, _ := tr.Dims()
-	s := Summary{Program: tr.Program, Events: len(tr.Events), Threads: threads,
-		ByKind: map[string]int{}}
+	var t tally
 	for _, e := range tr.Events {
-		s.ByKind[e.Kind.String()]++
-		if e.HITM {
-			s.HITM++
-		}
-		if e.Analyzed {
-			s.Analyzed++
+		t.add(e)
+	}
+	return t.summary(tr.Program)
+}
+
+// tally is what Summarize and LiveReplay keep of the events seen so far:
+// the dimensions they span and the Summary counts, with kinds counted in
+// an array rather than the string-keyed map a Summary shows.
+type tally struct {
+	dims
+	events, hitm, analyzed int
+	byKind                 [256]int // indexed by program.Kind
+}
+
+// add counts e and widens the dimensions to cover it, reporting whether
+// they grew.
+func (t *tally) add(e Event) bool {
+	t.events++
+	t.byKind[e.Kind]++
+	if e.HITM {
+		t.hitm++
+	}
+	if e.Analyzed {
+		t.analyzed++
+	}
+	return t.cover(e)
+}
+
+// summary renders the counts as the Summary of the named program.
+func (t *tally) summary(name string) Summary {
+	s := Summary{Program: name, Events: t.events, Threads: t.threads,
+		ByKind: map[string]int{}, HITM: t.hitm, Analyzed: t.analyzed}
+	for k, n := range t.byKind {
+		if n > 0 {
+			s.ByKind[program.Kind(k).String()] = n
 		}
 	}
 	return s
@@ -187,7 +212,7 @@ type dims struct{ threads, mutexes, sems int }
 
 // cover widens d to every thread and sync ID e names (its TID, its
 // barrier parties, and its Sync as a mutex or a semaphore by kind) and
-// reports whether d grew. Trace.Dims and LiveReplay.Apply share it.
+// reports whether d grew. Trace.Dims and tally.add share it.
 func (d *dims) cover(e Event) bool {
 	grew := widen(&d.threads, int(e.TID))
 	for _, p := range e.Parties {
@@ -283,6 +308,26 @@ const (
 	maxParties = 1 << 16
 )
 
+// Thread and sync IDs index detector tables, so both decoders refuse an
+// ID at or past its bound (vclock.MaxThreads threads, maxSyncIDs sync
+// objects) before a detector is sized from it.
+const maxSyncIDs = 1 << 16
+
+// boundIDs checks an event's thread and sync IDs. They are taken as
+// uint64, so a negative ID, or one the int32 conversion would wrap, is
+// refused too.
+func boundIDs(tid, sync uint64) error {
+	return cmp.Or(boundID("thread ID", tid, vclock.MaxThreads), boundID("sync ID", sync, maxSyncIDs))
+}
+
+// boundID returns a *LimitError when id is not below n.
+func boundID(what string, id, n uint64) error {
+	if id < n {
+		return nil
+	}
+	return &LimitError{What: what, Limit: n - 1, Got: id}
+}
+
 // DecodeLimits bounds what DecodeBinaryLimited and StreamDecoder accept
 // from an untrusted trace. Zero fields mean "no bound for this dimension".
 type DecodeLimits struct {
@@ -303,7 +348,7 @@ var DefaultDecodeLimits = DecodeLimits{MaxEvents: 1 << 24, MaxBytes: 1 << 30}
 // HTTP 413 instead of a generic parse failure.
 type LimitError struct {
 	// What names the exceeded dimension ("events", "bytes", "program name",
-	// "barrier parties", "label").
+	// "barrier parties", "label", "thread ID", "sync ID").
 	What string
 	// Limit is the configured cap; Got is the offending value (for the
 	// bytes dimension, Got is the limit at which reading stopped).
@@ -355,11 +400,22 @@ func EncodeJSON(w io.Writer, tr *Trace) error {
 	return enc.Encode(tr)
 }
 
-// DecodeJSON reads a JSON trace.
+// DecodeJSON reads a JSON trace, refusing thread and sync IDs past their
+// bounds with a *LimitError, as the binary decoder does.
 func DecodeJSON(r io.Reader) (*Trace, error) {
 	var tr Trace
 	if err := json.NewDecoder(r).Decode(&tr); err != nil {
 		return nil, err
+	}
+	for _, e := range tr.Events {
+		if err := boundIDs(uint64(e.TID), uint64(e.Sync)); err != nil {
+			return nil, err
+		}
+		for _, p := range e.Parties {
+			if err := boundID("thread ID", uint64(p), vclock.MaxThreads); err != nil {
+				return nil, err
+			}
+		}
 	}
 	return &tr, nil
 }

@@ -24,6 +24,12 @@ import (
 // assigned in spawn order by the scheduler.
 type TID int32
 
+// MaxThreads bounds the thread count an input may name (TIDs 0 to
+// MaxThreads-1). It sits far below the epoch's 16-bit TID field, which
+// aliases TID 65536 with TID 0, and keeps the detector's per-thread
+// clocks (T clocks of T entries) at 4 MiB.
+const MaxThreads = 1024
+
 // Time is a single thread-local logical clock value.
 type Time uint32
 
