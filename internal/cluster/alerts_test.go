@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"demandrace/internal/obs"
 	"demandrace/internal/obs/alert"
 	"demandrace/internal/obs/stream"
 )
@@ -240,5 +241,42 @@ func TestStatsErrorsGaugeFeedsRule(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("fleet-stats-partial not firing after failed fan-out: %+v", active)
+	}
+}
+
+// TestBackendNamesKeepDistinctSeries: backend names that differ only in
+// bytes a metric name cannot hold ("a.b", "a_b") build a gateway with one
+// health series and one probe rule each, and each series follows its own
+// backend's probes.
+func TestBackendNamesKeepDistinctSeries(t *testing.T) {
+	down, broken := flappyBackend(t, "a.b", alert.Doc{})
+	broken.Store(true)
+	up, _ := flappyBackend(t, "a_b", alert.Doc{})
+	reg := obs.NewRegistry()
+	g, _ := newGateway(t, Config{
+		Backends:  []Backend{{Name: "a.b", URL: down.URL}, {Name: "a_b", URL: up.URL}},
+		FailAfter: 1,
+		Registry:  reg,
+	})
+	g.ProbeNow(context.Background())
+
+	health := func(name string) (int64, bool) {
+		v, ok := reg.Snapshot().Gauges[obs.Series(obs.GateBackendHealth, "backend", name)]
+		return v, ok
+	}
+	if v, ok := health("a.b"); !ok || v != int64(HealthDown) {
+		t.Errorf("a.b health = %d (present %v), want %d", v, ok, HealthDown)
+	}
+	if v, ok := health("a_b"); !ok || v != int64(HealthOK) {
+		t.Errorf("a_b health = %d (present %v), want %d", v, ok, HealthOK)
+	}
+	rules := map[string]string{}
+	for _, r := range g.Alerts().Rules() {
+		rules[r.Name] = r.Metric
+	}
+	for _, name := range []string{"a.b", "a_b"} {
+		if m := rules["backend-probe-degraded-"+name]; m != obs.Series(obs.GateBackendHealth, "backend", name) {
+			t.Errorf("probe rule for %s watches %q", name, m)
+		}
 	}
 }

@@ -144,12 +144,18 @@ type Gateway struct {
 	start    time.Time
 	bus      *stream.Bus
 	ts       *tsdb.DB
-	traces   *traceStore
 	alerts   *alert.Engine
 	replica  *replica.Replicator // nil when replication is off
 	tenants  *tenant.Registry    // nil when tenancy is off
 	api      httpapi.Tier
-	jobKeys  *keyIndex
+
+	// traces keeps each routed job's gateway-side spans. Recorders are
+	// stored live: the request's root span ends after the handler
+	// returns, and Records() picks it up at read time.
+	traces *fifoMap[*obs.SpanRecorder]
+	// jobKeys joins a job ID to the cache key its submission routed on:
+	// read-repair needs the key, but a result poll carries only the ID.
+	jobKeys *fifoMap[string]
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -187,7 +193,7 @@ func NewGateway(cfg Config) (*Gateway, error) {
 		log:    cfg.Log,
 		start:  time.Now(),
 		bus:    stream.NewBus(cfg.Node),
-		traces: newTraceStore(defaultTraceStoreCap),
+		traces: newFIFOMap[*obs.SpanRecorder](traceStoreCap),
 		ts: tsdb.New(tsdb.Options{
 			Registry:  cfg.Registry,
 			Node:      cfg.Node,
@@ -214,8 +220,8 @@ func NewGateway(cfg Config) (*Gateway, error) {
 		nb := &backend{
 			Backend:  b,
 			health:   HealthOK,
-			cForward: cfg.Registry.Counter(obs.GateBackendForwardPrefix + obs.MetricName(b.Name)),
-			gHealth:  cfg.Registry.Gauge(obs.GateBackendHealthPrefix + obs.MetricName(b.Name)),
+			cForward: cfg.Registry.Counter(obs.Series(obs.GateBackendRequests, "backend", b.Name)),
+			gHealth:  cfg.Registry.Gauge(obs.Series(obs.GateBackendHealth, "backend", b.Name)),
 		}
 		nb.gHealth.Set(int64(HealthOK))
 		g.byName[b.Name] = nb
@@ -227,7 +233,7 @@ func NewGateway(cfg Config) (*Gateway, error) {
 	// same HTTP client the forwarders use; tenancy publishes throttle edges
 	// onto the same bus the alert console tails. Both are nil-safe no-ops
 	// when unconfigured.
-	g.jobKeys = newKeyIndex(defaultKeyIndexCap)
+	g.jobKeys = newFIFOMap[string](keyIndexCap)
 	g.replica = replica.New(replica.Config{
 		Factor:   cfg.Replicas,
 		Ring:     g.ring,
@@ -250,7 +256,7 @@ func NewGateway(cfg Config) (*Gateway, error) {
 		Registry:      cfg.Registry,
 		Log:           cfg.Log,
 		Requests:      cfg.Registry.Counter(obs.GateRequests),
-		LatencyPrefix: obs.GateHTTPLatencyPrefix,
+		LatencyFamily: obs.GateHTTPLatency,
 		SpanPrefix:    "gate:",
 		Tenants:       g.tenants,
 	}

@@ -401,7 +401,8 @@ func (g *Gateway) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	gwRecs := g.traces.records(id)
+	grec, _ := g.traces.get(id)
+	gwRecs := grec.Records()
 	if len(backendRecs) == 0 && len(gwRecs) == 0 {
 		// Nothing to merge: pass the backend's answer (or failure) through.
 		if err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strings"
@@ -123,21 +122,18 @@ func (b *backend) Health() Health {
 func (g *Gateway) probe(ctx context.Context, b *backend) (Health, error) {
 	pctx, cancel := context.WithTimeout(ctx, g.cfg.ProbeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodGet, b.URL+"/healthz", nil)
+	status, data, err := g.get(pctx, b, "/healthz", 1<<16)
 	if err != nil {
 		return HealthDown, err
 	}
-	resp, err := g.client.Do(req)
-	if err != nil {
-		return HealthDown, err
-	}
-	defer resp.Body.Close()
 	var body struct {
 		Status string `json:"status"`
 	}
-	json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&body)
+	// A body that is not the health document leaves Status empty; the
+	// status code alone then classifies the answer.
+	_ = json.Unmarshal(data, &body)
 	switch {
-	case resp.StatusCode == http.StatusOK:
+	case status == http.StatusOK:
 		return HealthOK, nil
 	case body.Status == "degraded" || body.Status == "draining":
 		// Degraded-aware: the node is shedding load but still serving
@@ -145,7 +141,7 @@ func (g *Gateway) probe(ctx context.Context, b *backend) (Health, error) {
 		// healthy remainder.
 		return HealthDegraded, nil
 	default:
-		return HealthDown, fmt.Errorf("cluster: %s /healthz answered %d", b.Name, resp.StatusCode)
+		return HealthDown, fmt.Errorf("cluster: %s /healthz answered %d", b.Name, status)
 	}
 }
 

@@ -139,8 +139,8 @@ func TestLongPollStaysOutOfLatencyAccounting(t *testing.T) {
 			t.Fatalf("long-poll answered after %v, want it held past %v", took, 2*slo)
 		}
 	}
-	backendHist := breg.Histogram(obs.SvcHTTPLatencyPrefix+"get_job", obs.LatencyBuckets)
-	gateHist := greg.Histogram(obs.GateHTTPLatencyPrefix+"get_job", obs.LatencyBuckets)
+	backendHist := breg.Histogram(obs.Series(obs.SvcHTTPLatency, "route", "get_job"), obs.LatencyBuckets)
+	gateHist := greg.Histogram(obs.Series(obs.GateHTTPLatency, "route", "get_job"), obs.LatencyBuckets)
 	if n := backendHist.Count(); n != 0 {
 		t.Errorf("ddserved get_job latency observations = %d, want 0", n)
 	}

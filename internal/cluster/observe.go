@@ -8,54 +8,53 @@ import (
 	"sync"
 	"time"
 
-	"demandrace/internal/obs"
 	"demandrace/internal/obs/stream"
 )
 
-// defaultTraceStoreCap bounds how many recent submissions keep their
-// gateway-side forwarding spans for GET /v1/jobs/{id}/trace merging. FIFO
-// eviction: job traces are fetched shortly after submission, so recency is
-// the right retention policy.
-const defaultTraceStoreCap = 256
-
-// traceStore maps gateway job IDs ("backend:j-n") to the recorder that
-// captured the request's gateway-side spans (request envelope, forward
-// attempts, hedges). Recorders are stored live — the request's root span
-// ends after the handler returns, and Records() picks it up at read time.
-type traceStore struct {
+// fifoMap is a mutex-guarded map that keeps at most cap keys, evicting
+// the oldest-inserted first. The gateway keys two by job ID ("backend:j-n"):
+// a job's trace and result are fetched shortly after its submission, so
+// recency of insertion is the right retention policy.
+type fifoMap[V any] struct {
 	mu    sync.Mutex
 	cap   int
-	m     map[string]*obs.SpanRecorder
+	m     map[string]V
 	order []string // insertion order, oldest first
 }
 
-func newTraceStore(capacity int) *traceStore {
-	if capacity <= 0 {
-		capacity = defaultTraceStoreCap
-	}
-	return &traceStore{cap: capacity, m: make(map[string]*obs.SpanRecorder)}
+// The caps of the gateway's two fifoMaps: how many recent submissions
+// keep their gateway-side spans for GET /v1/jobs/{id}/trace merging, and
+// how many keep the cache key read-repair needs (replication itself
+// converges through Track/Resync regardless of this index).
+const (
+	traceStoreCap = 256
+	keyIndexCap   = 4096
+)
+
+func newFIFOMap[V any](capacity int) *fifoMap[V] {
+	return &fifoMap[V]{cap: capacity, m: make(map[string]V)}
 }
 
-// put stores a recorder under id, evicting the oldest entry past cap.
-func (t *traceStore) put(id string, rec *obs.SpanRecorder) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.m[id]; !ok {
-		t.order = append(t.order, id)
+// put stores v under k, evicting the oldest key past cap.
+func (f *fifoMap[V]) put(k string, v V) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if _, ok := f.m[k]; !ok {
+		f.order = append(f.order, k)
 	}
-	t.m[id] = rec
-	for len(t.order) > t.cap {
-		delete(t.m, t.order[0])
-		t.order = t.order[1:]
+	f.m[k] = v
+	for len(f.order) > f.cap {
+		delete(f.m, f.order[0])
+		f.order = f.order[1:]
 	}
 }
 
-// records returns the recorded spans for id (nil when unknown or evicted).
-func (t *traceStore) records(id string) []obs.SpanRecord {
-	t.mu.Lock()
-	rec := t.m[id]
-	t.mu.Unlock()
-	return rec.Records()
+// get returns k's value (the zero value and false when unknown or evicted).
+func (f *fifoMap[V]) get(k string) (V, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	v, ok := f.m[k]
+	return v, ok
 }
 
 // tailLoop follows one backend's GET /v1/events stream for the gateway's

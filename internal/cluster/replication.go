@@ -14,54 +14,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"time"
 
 	"demandrace/internal/replica"
 )
-
-// defaultKeyIndexCap bounds the job-ID → cache-key index backing
-// read-repair. FIFO eviction, like the trace store: results are polled
-// shortly after submission, and replication itself converges through
-// Track/Resync regardless of this index.
-const defaultKeyIndexCap = 4096
-
-// keyIndex maps gateway job IDs ("backend:j-n") to the content-addressed
-// cache key the submission routed on. Read-repair needs the key, but a
-// result poll only carries the job ID — this is the join between them.
-type keyIndex struct {
-	mu    sync.Mutex
-	cap   int
-	m     map[string]string
-	order []string // insertion order, oldest first
-}
-
-func newKeyIndex(capacity int) *keyIndex {
-	if capacity <= 0 {
-		capacity = defaultKeyIndexCap
-	}
-	return &keyIndex{cap: capacity, m: make(map[string]string)}
-}
-
-func (k *keyIndex) put(id, key string) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if _, ok := k.m[id]; !ok {
-		k.order = append(k.order, id)
-	}
-	k.m[id] = key
-	for len(k.order) > k.cap {
-		delete(k.m, k.order[0])
-		k.order = k.order[1:]
-	}
-}
-
-func (k *keyIndex) get(id string) (string, bool) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	key, ok := k.m[id]
-	return key, ok
-}
 
 // seedTimeout bounds the startup shard import from each backend.
 const seedTimeout = 30 * time.Second
@@ -83,26 +39,7 @@ type httpPeer struct {
 }
 
 func (p *httpPeer) Get(ctx context.Context, key string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.b.URL+"/v1/cache/"+key, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := p.g.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: %s answered %d for replica key", p.b.Name, resp.StatusCode)
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, p.g.cfg.MaxBodyBytes+1))
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(data)) > p.g.cfg.MaxBodyBytes {
-		return nil, fmt.Errorf("cluster: replica body from %s exceeds %d bytes", p.b.Name, p.g.cfg.MaxBodyBytes)
-	}
-	return data, nil
+	return p.g.getOK(ctx, p.b, "/v1/cache/"+key, p.g.cfg.MaxBodyBytes)
 }
 
 func (p *httpPeer) Put(ctx context.Context, key string, data []byte) error {
@@ -125,22 +62,14 @@ func (p *httpPeer) Put(ctx context.Context, key string, data []byte) error {
 }
 
 func (p *httpPeer) Keys(ctx context.Context) ([]string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.b.URL+"/v1/cache", nil)
+	data, err := p.g.getOK(ctx, p.b, "/v1/cache", p.g.cfg.MaxBodyBytes)
 	if err != nil {
 		return nil, err
-	}
-	resp, err := p.g.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: %s answered %d to key listing", p.b.Name, resp.StatusCode)
 	}
 	var doc struct {
 		Keys []string `json:"keys"`
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, p.g.cfg.MaxBodyBytes)).Decode(&doc); err != nil {
+	if err := json.Unmarshal(data, &doc); err != nil {
 		return nil, err
 	}
 	return doc.Keys, nil

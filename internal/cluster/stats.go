@@ -142,7 +142,11 @@ func fanOut[T any](ctx context.Context, g *Gateway, path string) (docs []T, errs
 			defer wg.Done()
 			fctx, cancel := context.WithTimeout(ctx, g.cfg.StatsTimeout)
 			defer cancel()
-			errs[i] = g.fetchJSON(fctx, b, path, &docs[i])
+			body, err := g.getOK(fctx, b, path, maxFleetBodyBytes)
+			if err == nil {
+				err = json.Unmarshal(body, &docs[i])
+			}
+			errs[i] = err
 			if errs[i] != nil {
 				g.log.Debug("backend fan-out failed", "backend", b.Name, "path", path, "error", errs[i].Error())
 			}
@@ -152,19 +156,34 @@ func fanOut[T any](ctx context.Context, g *Gateway, path string) (docs []T, errs
 	return docs, errs
 }
 
-// fetchJSON decodes one backend's bounded 200 answer at path into v.
-func (g *Gateway) fetchJSON(ctx context.Context, b *backend, path string, v any) error {
+// getOK is get for callers that accept only a 200 answer.
+func (g *Gateway) getOK(ctx context.Context, b *backend, path string, limit int64) ([]byte, error) {
+	status, body, err := g.get(ctx, b, path, limit)
+	if err != nil {
+		return nil, err
+	}
+	if status != http.StatusOK {
+		return nil, fmt.Errorf("cluster: %s answered HTTP %d to %s", b.Name, status, path)
+	}
+	return body, nil
+}
+
+// get is the gateway's one bounded upstream GET: it fetches path from b
+// and returns the status and the body, which must fit in limit bytes —
+// a longer body is an error, never a truncated read.
+func (g *Gateway) get(ctx context.Context, b *backend, path string, limit int64) (int, []byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.URL+path, nil)
 	if err != nil {
-		return err
+		return 0, nil, err
 	}
 	resp, err := g.client.Do(req)
 	if err != nil {
-		return err
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: %s answered HTTP %d to %s", b.Name, resp.StatusCode, path)
+	body, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	if err == nil && int64(len(body)) > limit {
+		err = fmt.Errorf("cluster: %s answer to %s exceeds %d bytes", b.Name, path, limit)
 	}
-	return json.NewDecoder(io.LimitReader(resp.Body, maxFleetBodyBytes)).Decode(v)
+	return resp.StatusCode, body, err
 }

@@ -1,8 +1,9 @@
 // Package httpapi is the HTTP surface ddserved and ddgate share: the
 // ordered route table, the request-scoped observability middleware, the
 // JSON response helpers and the tenant admission gate. Each tier supplies
-// only its handlers (by route key) and its metric and span prefixes, so a
-// change to routing, access logging or admission is made once for both.
+// only its handlers (by route key), its latency family and its span
+// prefix, so a change to routing, access logging or admission is made
+// once for both.
 package httpapi
 
 import (
@@ -19,13 +20,13 @@ import (
 )
 
 // Route is one entry of the API surface: a mux pattern and the stable key
-// naming its latency histogram (the tier's prefix + Key), its request span
-// and its /v1/stats row. Quiet routes are polled by infrastructure, so
-// their access logs emit at debug. Stream routes hold their connection
-// open indefinitely (SSE), so they bypass the latency histogram and SLO
-// accounting — an hour-long tail is not an hour-long request. On a
-// LongPoll route a request carrying ?wait= blocks until its job ends, so
-// it bypasses them too, but keeps its access-log line.
+// naming its latency series (label route=Key in the tier's family), its
+// request span and its /v1/stats row. Quiet routes are polled by
+// infrastructure, so their access logs emit at debug. Stream routes hold
+// their connection open indefinitely (SSE), so they bypass the latency
+// histogram and SLO accounting — an hour-long tail is not an hour-long
+// request. On a LongPoll route a request carrying ?wait= blocks until its
+// job ends, so it bypasses them too, but keeps its access-log line.
 type Route struct {
 	Pattern  string
 	Key      string
@@ -65,9 +66,10 @@ type Tier struct {
 	Log      *slog.Logger
 	// Requests ticks once for every request the mux serves.
 	Requests *obs.Counter
-	// LatencyPrefix + Route.Key names a route's latency histogram;
-	// SpanPrefix + Route.Key names its request span.
-	LatencyPrefix string
+	// LatencyFamily is the per-route latency histogram family; a route's
+	// series is Latency(Route.Key). SpanPrefix + Route.Key names its
+	// request span.
+	LatencyFamily string
 	SpanPrefix    string
 	// SLORequests ticks for every measured request and SLOBreaches for
 	// those slower than SLOLatency. Both are nil on a tier without an SLO.
@@ -128,7 +130,7 @@ func (sr *statusRecorder) Write(b []byte) (int, error) {
 func (t *Tier) instrument(rt Route, h http.HandlerFunc) http.Handler {
 	// Registered for every route, stream ones included, so the /metrics
 	// exposition lists the whole table.
-	hist := t.Registry.Histogram(t.LatencyPrefix+rt.Key, obs.LatencyBuckets)
+	hist := t.Latency(rt.Key)
 	spanName := t.SpanPrefix + rt.Key
 	logf := t.Log.Info
 	if rt.Quiet {
@@ -171,6 +173,11 @@ func (t *Tier) instrument(rt Route, h http.HandlerFunc) http.Handler {
 			"trace_id", tc.TraceID(),
 		)
 	})
+}
+
+// Latency returns the latency histogram of the route with key.
+func (t *Tier) Latency(key string) *obs.Histogram {
+	return t.Registry.Histogram(obs.Series(t.LatencyFamily, "route", key), obs.LatencyBuckets)
 }
 
 // AdmitTenant runs the tenant gate for one submission: resolve the API

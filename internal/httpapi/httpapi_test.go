@@ -59,7 +59,7 @@ type tier struct {
 	handler       http.Handler
 	reg           *obs.Registry
 	logs          *syncBuffer
-	latencyPrefix string
+	latencyFamily string
 	slo           bool            // ddserved's SLO counters tick
 	unserved      map[string]bool // route keys the tier leaves to the mux
 }
@@ -93,9 +93,9 @@ func newTiers(t *testing.T) []tier {
 
 	return []tier{
 		{name: "ddserved", handler: srv.Handler(), reg: svcReg, logs: svcLogs,
-			latencyPrefix: obs.SvcHTTPLatencyPrefix, slo: true},
+			latencyFamily: obs.SvcHTTPLatency, slo: true},
 		{name: "ddgate", handler: g.Handler(), reg: gateReg, logs: gateLogs,
-			latencyPrefix: obs.GateHTTPLatencyPrefix,
+			latencyFamily: obs.GateHTTPLatency,
 			unserved:      map[string]bool{"get_cache_keys": true, "get_cache_entry": true, "put_cache_entry": true}},
 	}
 }
@@ -143,13 +143,13 @@ func TestSharedSurface(t *testing.T) {
 			if events.Code != http.StatusOK || !strings.Contains(events.Body.String(), "hello") {
 				t.Errorf("/v1/events = %d %q, want 200 with a hello event", events.Code, events.Body.String())
 			}
-			if n := tc.reg.Histogram(tc.latencyPrefix+"get_events", obs.LatencyBuckets).Count(); n != 0 {
+			if n := tc.reg.Histogram(obs.Series(tc.latencyFamily, "route", "get_events"), obs.LatencyBuckets).Count(); n != 0 {
 				t.Errorf("get_events latency observations = %d, want 0", n)
 			}
 
 			// The per-route histogram carries the tier's prefix.
-			if n := tc.reg.Histogram(tc.latencyPrefix+"healthz", obs.LatencyBuckets).Count(); n == 0 {
-				t.Errorf("%shealthz recorded no observation", tc.latencyPrefix)
+			if n := tc.reg.Histogram(obs.Series(tc.latencyFamily, "route", "healthz"), obs.LatencyBuckets).Count(); n == 0 {
+				t.Errorf("%s healthz recorded no observation", tc.latencyFamily)
 			}
 			// The SLO counters tick on ddserved only.
 			if got := tc.reg.CounterValue(obs.SvcSLORequests) > 0; got != tc.slo {

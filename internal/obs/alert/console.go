@@ -212,7 +212,7 @@ function renderStats(s) {
 const preferred = ["queue_depth", "worker_utilization", "slo_breaches", "slo_requests",
   "jobs_inflight", "cache_hits", "ring_members", "forwards_total", "ingest_chunks",
   "replica_under_replicated", "replica_read_repair", "tenant_throttled",
-  "http_latency_ms_post_jobs:p99", "ddalert_active"];
+  'http_latency_ms{route="post_jobs"}:p99', "ddalert_active"];
 const MAX_SPARKS = 18;
 
 function sparkline(series) {

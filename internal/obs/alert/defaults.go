@@ -68,12 +68,12 @@ func ServiceDefaults(sloTarget float64, queueHighWater int) []Rule {
 			Summary:     "result-cache hit ratio collapsed below 10% under real lookup traffic",
 		},
 		{
-			// The throttle counter only exists once -tenants is configured
-			// and a budget is exceeded; a missing series reads as condition
-			// not met, so the rule is inert on untenanted nodes.
+			// The throttle counter only exists once -tenants is configured;
+			// a missing series reads as condition not met, so the rule is
+			// inert on untenanted nodes.
 			Name:     "tenant-budget-exhausted",
 			Kind:     KindRate,
-			Metric:   obs.TenantThrottledMetric("ddserved_"),
+			Metric:   "ddserved_" + obs.TenantThrottled,
 			Op:       ">",
 			Value:    0,
 			Window:   Duration(1 * time.Minute),
@@ -128,7 +128,7 @@ func GatewayDefaults(members int, backendNames []string) []Rule {
 			// admission edge throttles a tenant.
 			Name:     "tenant-budget-exhausted",
 			Kind:     KindRate,
-			Metric:   obs.TenantThrottledMetric("ddgate_"),
+			Metric:   "ddgate_" + obs.TenantThrottled,
 			Op:       ">",
 			Value:    0,
 			Window:   Duration(1 * time.Minute),
@@ -139,9 +139,9 @@ func GatewayDefaults(members int, backendNames []string) []Rule {
 	}
 	for _, name := range backendNames {
 		rules = append(rules, Rule{
-			Name:     "backend-probe-degraded-" + obs.MetricName(name),
+			Name:     "backend-probe-degraded-" + name,
 			Kind:     KindThreshold,
-			Metric:   obs.GateBackendHealthPrefix + obs.MetricName(name),
+			Metric:   obs.Series(obs.GateBackendHealth, "backend", name),
 			Op:       "<=",
 			Value:    1, // health gauge: 0 down, 1 degraded, 2 ok
 			For:      Duration(10 * time.Second),

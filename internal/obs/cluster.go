@@ -4,9 +4,8 @@ package obs
 // ddserved_* names in service.go, they live next to the Registry so the
 // gateway, its tests, and the CI smoke assertions agree on one spelling.
 //
-// The registry is label-free, so per-backend series encode the backend
-// name in the metric name via the *Prefix constants (sanitized through
-// MetricName).
+// Per-backend series are one labelled family each, named with
+// Series(family, "backend", name).
 const (
 	// GateRequests counts every request the gateway mux serves.
 	GateRequests = "ddgate_requests_total"
@@ -31,17 +30,18 @@ const (
 	// backends in the consistent-hash ring.
 	GateRingMembers = "ddgate_ring_members"
 
-	// GateBackendHealthPrefix prefixes the per-backend health gauges
-	// (0 = down/evicted, 1 = degraded, 2 = ok), e.g.
-	// ddgate_backend_health_127_0_0_1_8318.
-	GateBackendHealthPrefix = "ddgate_backend_health_"
-	// GateBackendForwardPrefix prefixes the per-backend forwarded-request
-	// counters.
-	GateBackendForwardPrefix = "ddgate_backend_requests_total_"
+	// GateBackendHealth is the per-backend health gauge family (0 =
+	// down/evicted, 1 = degraded, 2 = ok), e.g.
+	// ddgate_backend_health{backend="127.0.0.1-8318"}.
+	GateBackendHealth = "ddgate_backend_health"
+	// GateBackendRequests is the per-backend forwarded-request counter
+	// family.
+	GateBackendRequests = "ddgate_backend_requests_total"
 
-	// GateHTTPLatencyPrefix prefixes the gateway's per-endpoint wall-clock
-	// latency histograms (milliseconds), mirroring SvcHTTPLatencyPrefix.
-	GateHTTPLatencyPrefix = "ddgate_http_latency_ms_"
+	// GateHTTPLatency is the gateway's per-endpoint wall-clock latency
+	// histogram family (milliseconds, label "route"), mirroring
+	// SvcHTTPLatency.
+	GateHTTPLatency = "ddgate_http_latency_ms"
 
 	// GateStatsErrors gauges how many backends failed to answer the last
 	// fleet stats fan-out — nonzero means /v1/stats served a partial view.
@@ -65,23 +65,8 @@ const (
 	// ReplicaTracked gauges how many sealed result keys the gateway is
 	// responsible for keeping at the configured replication factor.
 	ReplicaTracked = "ddgate_replica_tracked_keys"
-	// ReplicaUnderReplicated gauges tracked keys currently below the
-	// replication factor (nonzero past the handoff deadline degrades the
-	// /healthz replication subsystem).
+	// ReplicaUnderReplicated gauges tracked keys below the replication
+	// factor, recounted on each resync tick and stats read (nonzero past
+	// the handoff deadline degrades the /healthz replication subsystem).
 	ReplicaUnderReplicated = "ddgate_replica_under_replicated_keys"
 )
-
-// MetricName sanitizes s into a legal Prometheus metric-name suffix:
-// every byte outside [a-zA-Z0-9_] becomes '_'. Backend names (derived
-// from host:port) pass through here before being appended to a *Prefix.
-func MetricName(s string) string {
-	b := []byte(s)
-	for i, c := range b {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '_':
-		default:
-			b[i] = '_'
-		}
-	}
-	return string(b)
-}

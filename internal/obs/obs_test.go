@@ -225,6 +225,39 @@ c_hist_count 2
 	}
 }
 
+// TestWritePromFamilies: labelled series group under one # TYPE line per
+// family, sorted by family then series; label values are escaped; and a
+// labelled histogram puts le after the family label.
+func TestWritePromFamilies(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("t_jobs_total_extra").Add(4)
+	reg.Counter(Series("t_jobs_total", "tenant", "we\"ird\\name\nx")).Add(3)
+	reg.Counter(Series("t_jobs_total", "tenant", "b")).Add(2)
+	reg.Counter(Series("t_jobs_total", "tenant", "a")).Add(1)
+	h := reg.Histogram(Series("lat_ms", "route", "post_jobs"), []float64{1})
+	h.Observe(0.5)
+	h.Observe(3)
+	var buf bytes.Buffer
+	if err := reg.WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := `# TYPE lat_ms histogram
+lat_ms_bucket{route="post_jobs",le="1"} 1
+lat_ms_bucket{route="post_jobs",le="+Inf"} 2
+lat_ms_sum{route="post_jobs"} 3.500000
+lat_ms_count{route="post_jobs"} 2
+# TYPE t_jobs_total counter
+t_jobs_total{tenant="a"} 1
+t_jobs_total{tenant="b"} 2
+t_jobs_total{tenant="we\"ird\\name\nx"} 3
+# TYPE t_jobs_total_extra counter
+t_jobs_total_extra 4
+`
+	if got := buf.String(); got != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestRegistryMerge(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
 	a.Counter("c").Add(1)

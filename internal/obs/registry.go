@@ -1,10 +1,12 @@
 package obs
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -177,7 +179,9 @@ func (h *Histogram) BucketCount(i int) uint64 {
 	return h.counts[i].Load()
 }
 
-// Registry is a named collection of metrics. Handle lookup (Counter,
+// Registry is a named collection of metrics. A name is either a bare
+// family or one labelled series of a family, built by Series; everything
+// but WriteProm treats it as an opaque key. Handle lookup (Counter,
 // Gauge, Histogram) is get-or-create and mutex-guarded; the returned
 // handles update lock-free, cheap enough to leave on in the hot pipeline.
 // A nil *Registry is a valid no-op that hands out nil handles, so
@@ -331,14 +335,41 @@ func (r *Registry) CounterValue(name string) uint64 {
 	return r.counters[name].Value()
 }
 
+// Series names one series of a labelled metric family:
+// family{label="value"}, with the value escaped as the Prometheus text
+// format requires (backslash, double quote, newline). It is the one place
+// a tenant, backend, route or cost-component string enters a metric name,
+// so distinct values always get distinct series. The registry stays keyed
+// by the full string; only WriteProm splits it back into family and
+// labels.
+func Series(family, label, value string) string {
+	return family + "{" + label + `="` + labelEscaper.Replace(value) + `"}`
+}
+
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// splitSeries returns a series name's family and its label list without
+// braces ("" when unlabelled). Family names never contain '{', so the
+// first one opens the label list.
+func splitSeries(name string) (family, labels string) {
+	i := strings.IndexByte(name, '{')
+	if i < 0 {
+		return name, ""
+	}
+	return name[:i], name[i+1 : len(name)-1]
+}
+
 // formatBound renders a histogram bound the same way every time ("g"
 // shortest form), keeping exposition byte-stable.
 func formatBound(b float64) string { return strconv.FormatFloat(b, 'g', -1, 64) }
 
 // WriteProm writes the registry in Prometheus text exposition format,
-// sorted by metric name so output is byte-deterministic. Values are
-// integers (or fixed-precision sums), never wall-clock derived unless the
-// caller put wall-clock values in — the runner never does. Nil-safe.
+// sorted by family and then by series so output is byte-deterministic,
+// with one # TYPE line per family. A labelled histogram series writes
+// family_bucket{label="v",le="…"}, family_sum{label="v"} and
+// family_count{label="v"}. Values are integers (or fixed-precision sums),
+// never wall-clock derived unless the caller put wall-clock values in —
+// the runner never does. Nil-safe.
 func (r *Registry) WriteProm(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -346,53 +377,57 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	kind := make(map[string]byte, cap(names))
+	type series struct{ name, family, labels, kind string }
+	all := make([]series, 0, len(r.counters)+len(r.gauges)+len(r.hists))
+	add := func(name, kind string) {
+		fam, labels := splitSeries(name)
+		all = append(all, series{name, fam, labels, kind})
+	}
 	for name := range r.counters {
-		names = append(names, name)
-		kind[name] = 'c'
+		add(name, "counter")
 	}
 	for name := range r.gauges {
-		names = append(names, name)
-		kind[name] = 'g'
+		add(name, "gauge")
 	}
 	for name := range r.hists {
-		names = append(names, name)
-		kind[name] = 'h'
+		add(name, "histogram")
 	}
-	sort.Strings(names)
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].family != all[j].family {
+			return all[i].family < all[j].family
+		}
+		return all[i].name < all[j].name
+	})
 
-	for _, name := range names {
-		switch kind[name] {
-		case 'c':
-			if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, r.counters[name].Value()); err != nil {
-				return err
-			}
-		case 'g':
-			if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", name, name, r.gauges[name].Value()); err != nil {
-				return err
-			}
-		case 'h':
-			h := r.hists[name]
-			if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
-				return err
+	bw := bufio.NewWriter(w)
+	for i, s := range all {
+		if i == 0 || s.family != all[i-1].family {
+			fmt.Fprintf(bw, "# TYPE %s %s\n", s.family, s.kind)
+		}
+		switch s.kind {
+		case "counter":
+			fmt.Fprintf(bw, "%s %d\n", s.name, r.counters[s.name].Value())
+		case "gauge":
+			fmt.Fprintf(bw, "%s %d\n", s.name, r.gauges[s.name].Value())
+		case "histogram":
+			h := r.hists[s.name]
+			// le joins the series' own labels: {le=…} or {label="v",le=…}.
+			bucket, labels := "{", ""
+			if s.labels != "" {
+				bucket, labels = "{"+s.labels+",", "{"+s.labels+"}"
 			}
 			cum := uint64(0)
-			for i, b := range h.bounds {
+			for i := range h.counts {
 				cum += h.counts[i].Load()
-				if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, formatBound(b), cum); err != nil {
-					return err
+				le := "+Inf"
+				if i < len(h.bounds) {
+					le = formatBound(h.bounds[i])
 				}
+				fmt.Fprintf(bw, "%s_bucket%sle=%q} %d\n", s.family, bucket, le, cum)
 			}
-			cum += h.counts[len(h.bounds)].Load()
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "%s_sum %s\n%s_count %d\n",
-				name, strconv.FormatFloat(h.Sum(), 'f', 6, 64), name, h.count.Load()); err != nil {
-				return err
-			}
+			fmt.Fprintf(bw, "%s_sum%s %s\n%s_count%s %d\n", s.family, labels,
+				strconv.FormatFloat(h.Sum(), 'f', 6, 64), s.family, labels, h.count.Load())
 		}
 	}
-	return nil
+	return bw.Flush()
 }

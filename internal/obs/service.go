@@ -39,12 +39,12 @@ const (
 	// whole percent (100 = every worker busy).
 	SvcWorkerUtilization = "ddserved_worker_utilization_pct"
 
-	// SvcHTTPLatencyPrefix prefixes the per-endpoint wall-clock latency
-	// histograms (milliseconds); the route key is appended, e.g.
-	// ddserved_http_latency_ms_post_jobs. Wall-clock values are fine here:
-	// the service registry is a diagnostics surface, not a deterministic
-	// export.
-	SvcHTTPLatencyPrefix = "ddserved_http_latency_ms_"
+	// SvcHTTPLatency is the per-endpoint wall-clock latency histogram
+	// family (milliseconds), one series per route key:
+	// Series(SvcHTTPLatency, "route", "post_jobs"). Wall-clock values are
+	// fine here: the service registry is a diagnostics surface, not a
+	// deterministic export.
+	SvcHTTPLatency = "ddserved_http_latency_ms"
 	// SvcQueueWait is the queued-to-running wall-clock wait histogram
 	// (milliseconds).
 	SvcQueueWait = "ddserved_queue_wait_ms"
@@ -70,55 +70,25 @@ const (
 	SvcStoreBytes   = "ddserved_store_bytes"
 )
 
-// Tenant metric names are shared by both daemons — ddserved and ddgate
+// Tenant metric families are shared by both daemons — ddserved and ddgate
 // each enforce admission at their own edge — so the constants here carry
-// no daemon prefix; callers pass their prefix ("ddserved_" / "ddgate_")
-// to the Tenant* helpers below. Per-tenant series encode the tenant name
-// in the metric name via MetricName, like the per-backend gateway series.
+// no daemon prefix; callers prepend theirs ("ddserved_" / "ddgate_"). The
+// per-tenant families carry one label, Series(family, "tenant", name).
 const (
-	// TenantThrottledSuffix counts admissions rejected because a tenant's
-	// token budget or weighted queue share was exhausted (HTTP 429). The
-	// aggregate (un-suffixed-by-tenant) series feeds the
-	// tenant-budget-exhausted default alert rule.
-	TenantThrottledSuffix = "tenant_throttled_total"
-	// TenantJobsSuffix / TenantBytesSuffix / TenantCacheHitsSuffix are the
-	// per-tenant usage accounting series (jobs admitted, payload bytes
-	// accepted, submissions served from cache).
-	TenantJobsSuffix      = "tenant_jobs_total_"
-	TenantBytesSuffix     = "tenant_bytes_total_"
-	TenantCacheHitsSuffix = "tenant_cache_hits_total_"
-	// TenantThrottledPerSuffix prefixes the per-tenant throttle counters.
-	TenantThrottledPerSuffix = "tenant_throttled_total_"
-	// TenantActiveSuffix prefixes the per-tenant active-job gauges
-	// (queued + running), the quantity weighted admission bounds.
-	TenantActiveSuffix = "tenant_active_jobs_"
+	// TenantThrottled is the unlabelled count of admissions rejected
+	// because a tenant's token budget or weighted queue share was
+	// exhausted (HTTP 429); it feeds the tenant-budget-exhausted default
+	// alert rule. TenantThrottledBy is the same count per tenant, a family
+	// of its own so no family mixes an aggregate with labelled series.
+	TenantThrottled   = "tenant_throttled_total"
+	TenantThrottledBy = "tenant_throttled_by_tenant_total"
+	// TenantJobs / TenantBytes / TenantCacheHits are the per-tenant usage
+	// accounting families (jobs admitted, payload bytes accepted,
+	// submissions served from cache).
+	TenantJobs      = "tenant_jobs_total"
+	TenantBytes     = "tenant_bytes_total"
+	TenantCacheHits = "tenant_cache_hits_total"
+	// TenantActive is the per-tenant active-job gauge family (queued +
+	// running), the quantity weighted admission bounds.
+	TenantActive = "tenant_active_jobs"
 )
-
-// TenantThrottledMetric names the aggregate throttle counter for a daemon
-// prefix ("ddserved_" or "ddgate_").
-func TenantThrottledMetric(prefix string) string { return prefix + TenantThrottledSuffix }
-
-// TenantJobsMetric names the per-tenant admitted-jobs counter.
-func TenantJobsMetric(prefix, tenant string) string {
-	return prefix + TenantJobsSuffix + MetricName(tenant)
-}
-
-// TenantBytesMetric names the per-tenant accepted-bytes counter.
-func TenantBytesMetric(prefix, tenant string) string {
-	return prefix + TenantBytesSuffix + MetricName(tenant)
-}
-
-// TenantCacheHitsMetric names the per-tenant cache-hit counter.
-func TenantCacheHitsMetric(prefix, tenant string) string {
-	return prefix + TenantCacheHitsSuffix + MetricName(tenant)
-}
-
-// TenantThrottledPerMetric names the per-tenant throttle counter.
-func TenantThrottledPerMetric(prefix, tenant string) string {
-	return prefix + TenantThrottledPerSuffix + MetricName(tenant)
-}
-
-// TenantActiveMetric names the per-tenant active-jobs gauge.
-func TenantActiveMetric(prefix, tenant string) string {
-	return prefix + TenantActiveSuffix + MetricName(tenant)
-}

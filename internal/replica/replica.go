@@ -94,7 +94,7 @@ type Replicator struct {
 	mu      sync.Mutex
 	keys    map[string]*entry
 	pending map[string]bool // keys with a queued task (dedup)
-	under   int             // cached under-replicated count
+	under   int             // under-replicated count at the last recount
 	underAt time.Time       // when under first became nonzero
 
 	queue  chan string
@@ -282,7 +282,6 @@ func (r *Replicator) replicate(ctx context.Context, key string) {
 	e := r.keys[key]
 	if e == nil || len(desired) == 0 {
 		r.mu.Unlock()
-		r.settle(key)
 		return
 	}
 	sources := make([]string, 0, len(e.holders)+len(desired))
@@ -301,7 +300,6 @@ func (r *Replicator) replicate(ctx context.Context, key string) {
 	}
 	r.mu.Unlock()
 	if !need {
-		r.settle(key)
 		return
 	}
 
@@ -309,7 +307,6 @@ func (r *Replicator) replicate(ctx context.Context, key string) {
 	if data == nil {
 		// No reachable holder: leave the key under-replicated; the resync
 		// sweep retries after membership settles.
-		r.settle(key)
 		return
 	}
 	r.mu.Lock()
@@ -344,7 +341,6 @@ func (r *Replicator) replicate(ctx context.Context, key string) {
 		r.mu.Unlock()
 		r.cfg.Log.Info("replica written", "key", key, "source", src, "target", m)
 	}
-	r.settle(key)
 }
 
 // fetch pulls key's bytes from the first reachable source.
@@ -478,23 +474,19 @@ func (r *Replicator) OnReadmit(member string) {
 }
 
 // Resync is the anti-entropy sweep: every tracked key below its
-// replication factor is re-enqueued. Nil-safe.
+// replication factor is re-enqueued, and the under-replication count
+// behind the gauges and the handoff deadline is refreshed. Nil-safe.
 func (r *Replicator) Resync() {
 	if r == nil {
 		return
 	}
+	under := r.underKeys()
+	for _, key := range under {
+		r.enqueue(key)
+	}
 	r.mu.Lock()
-	keys := make([]string, 0, len(r.keys))
-	for key := range r.keys {
-		keys = append(keys, key)
-	}
+	r.applyUnderLocked(len(under))
 	r.mu.Unlock()
-	for _, key := range keys {
-		if r.underReplicated(key) {
-			r.enqueue(key)
-		}
-	}
-	r.settleAll()
 }
 
 // Seed imports a peer's key list (e.g. at startup) so pre-existing store
@@ -534,33 +526,24 @@ func (r *Replicator) underReplicated(key string) bool {
 	return false
 }
 
-// settle recomputes the under-replication gauges after a pass over key.
-func (r *Replicator) settle(key string) { r.settleAll() }
-
-// settleAll recounts under-replicated keys and refreshes the gauges.
-func (r *Replicator) settleAll() {
-	counts := r.countUnder()
-	r.mu.Lock()
-	r.applyUnderLocked(counts)
-	r.mu.Unlock()
-}
-
-// countUnder counts tracked keys whose current chain is missing holders.
-// Takes and releases the lock per key to avoid holding it across chain().
-func (r *Replicator) countUnder() int {
+// underKeys lists the tracked keys whose current chain is missing
+// holders. It costs one ring lookup per tracked key, so only the resync
+// tick and StatsSnapshot run it, never a replication pass. Takes and
+// releases the lock per key to avoid holding it across chain().
+func (r *Replicator) underKeys() []string {
 	r.mu.Lock()
 	keys := make([]string, 0, len(r.keys))
 	for key := range r.keys {
 		keys = append(keys, key)
 	}
 	r.mu.Unlock()
-	n := 0
+	var under []string
 	for _, key := range keys {
 		if r.underReplicated(key) {
-			n++
+			under = append(under, key)
 		}
 	}
-	return n
+	return under
 }
 
 // applyUnderLocked updates the cached under-replication state. Caller
@@ -608,7 +591,7 @@ func (r *Replicator) StatsSnapshot() Stats {
 	if r == nil {
 		return Stats{}
 	}
-	under := r.countUnder()
+	under := len(r.underKeys())
 	r.mu.Lock()
 	r.applyUnderLocked(under)
 	s := Stats{

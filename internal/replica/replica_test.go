@@ -3,6 +3,7 @@ package replica
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -364,5 +365,41 @@ func TestStartStop(t *testing.T) {
 			t.Fatal("worker never replicated the tracked key")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// countingRing is a Placement that counts its lookups.
+type countingRing struct {
+	Placement
+	lookups int
+}
+
+func (c *countingRing) Lookup(key string, n int) []string {
+	c.lookups++
+	return c.Placement.Lookup(key, n)
+}
+
+// TestTrackCostIndependentOfTrackedKeys: a replication pass looks up only
+// its own key, so once N keys are tracked, one more Track and its pass
+// cost the same few lookups whatever N is.
+func TestTrackCostIndependentOfTrackedKeys(t *testing.T) {
+	f := newFleet("a", "b")
+	ring := &countingRing{Placement: f.ring}
+	r := New(Config{Factor: 2, Ring: ring, Peer: f.peer})
+	const n = 200
+	for i := 0; i < n; i++ {
+		key := fmt.Sprintf("k%d", i)
+		f.peers["a"].data[key] = []byte("x")
+		r.Track(key, "a")
+		drain(r)
+	}
+	ring.lookups = 0
+	r.Track("k0", "a") // a cache hit re-tracks a converged key
+	drain(r)
+	if ring.lookups > 2 {
+		t.Fatalf("one Track with %d keys tracked cost %d lookups, want O(1)", n, ring.lookups)
+	}
+	if s := r.StatsSnapshot(); s.Tracked != n || s.UnderReplicated != 0 {
+		t.Fatalf("stats = %+v, want %d tracked, none under-replicated", s, n)
 	}
 }

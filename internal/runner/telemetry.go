@@ -30,7 +30,7 @@ func publishMetrics(reg *obs.Registry, rep *Report) {
 	reg.Counter("ddrace_cycles_native_total").Add(rep.NativeCycles)
 	reg.Counter("ddrace_cycles_tool_total").Add(rep.ToolCycles)
 	for _, c := range rep.Cost.Components() {
-		reg.Counter("ddrace_cost_" + c.Name + "_cycles_total").Add(c.Cycles)
+		reg.Counter(obs.Series("ddrace_cost_cycles_total", "component", c.Name)).Add(c.Cycles)
 	}
 	reg.Histogram("ddrace_run_slowdown", slowdownBuckets).Observe(rep.Slowdown)
 	reg.Histogram("ddrace_run_analyzed_fraction", analyzedBuckets).Observe(rep.Demand.AnalyzedFraction())

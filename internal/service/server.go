@@ -245,7 +245,7 @@ func NewServer(cfg Config) *Server {
 		Registry:      cfg.Registry,
 		Log:           cfg.Log,
 		Requests:      cfg.Registry.Counter(obs.SvcHTTPRequests),
-		LatencyPrefix: obs.SvcHTTPLatencyPrefix,
+		LatencyFamily: obs.SvcHTTPLatency,
 		SpanPrefix:    "http:",
 		SLORequests:   cfg.Registry.Counter(obs.SvcSLORequests),
 		SLOBreaches:   cfg.Registry.Counter(obs.SvcSLOBreaches),

@@ -151,10 +151,9 @@ func (s *Server) Stats() StatsSummary {
 	// Rows follow the shared route table's fixed order, so the JSON is
 	// stable run to run even though the values are wall-clock.
 	for _, rt := range httpapi.Routes {
-		h := s.reg.Histogram(obs.SvcHTTPLatencyPrefix+rt.Key, obs.LatencyBuckets)
 		sum.Endpoints = append(sum.Endpoints, EndpointStats{
 			Route:          rt.Key,
-			LatencySummary: summarize(h),
+			LatencySummary: summarize(s.api.Latency(rt.Key)),
 		})
 	}
 

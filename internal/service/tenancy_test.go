@@ -2,10 +2,12 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"strings"
 	"testing"
 
+	"demandrace/internal/obs"
 	"demandrace/internal/tenant"
 )
 
@@ -74,5 +76,64 @@ func TestTenancySubmissionGate(t *testing.T) {
 	}
 	if l.Jobs != 3 || l.Throttled != 0 {
 		t.Fatalf("light ledger %+v, want 3 jobs, 0 throttles", l)
+	}
+}
+
+// TestTenantSeriesDistinct: tenant names that differ only in bytes a
+// metric name cannot hold ("team-a", "team_a") get distinct series, and
+// each series reads what the tenant's /v1/stats row reports.
+func TestTenantSeriesDistinct(t *testing.T) {
+	reg := obs.NewRegistry()
+	_, ts, _ := newTestServer(t, Config{
+		Workers:  1,
+		Registry: reg,
+		Tenants: []tenant.Config{
+			{Key: "k1", Name: "team-a", Weight: 1, Rate: 10, Burst: 10},
+			{Key: "k2", Name: "team_a", Weight: 1, Rate: 10, Burst: 10},
+		},
+	})
+	ctx := context.Background()
+	for i, key := range []string{"k1", "k2"} {
+		cl := &Client{BaseURL: ts.URL, APIKey: key}
+		st, err := cl.Submit(ctx, Request{Kernel: "racy_flag", Seed: int64(i + 1)})
+		if err != nil {
+			t.Fatalf("Submit(%s): %v", key, err)
+		}
+		if _, err := cl.Wait(ctx, st.ID); err != nil {
+			t.Fatalf("Wait(%s): %v", key, err)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatalf("GET /v1/stats: %v", err)
+	}
+	var sum StatsSummary
+	err = json.NewDecoder(resp.Body).Decode(&sum)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("decoding /v1/stats: %v", err)
+	}
+	if len(sum.Tenants) != 2 {
+		t.Fatalf("stats tenants = %+v, want two rows", sum.Tenants)
+	}
+	for _, row := range sum.Tenants {
+		series := func(family string) string { return obs.Series("ddserved_"+family, "tenant", row.Name) }
+		if row.Jobs != 1 {
+			t.Errorf("%s: stats jobs = %d, want 1", row.Name, row.Jobs)
+		}
+		for _, c := range []struct {
+			family string
+			want   uint64
+		}{
+			{obs.TenantJobs, row.Jobs},
+			{obs.TenantBytes, row.Bytes},
+			{obs.TenantCacheHits, row.CacheHits},
+			{obs.TenantThrottledBy, row.Throttled},
+		} {
+			if got := reg.CounterValue(series(c.family)); got != c.want {
+				t.Errorf("%s = %d, want the stats row's %d", series(c.family), got, c.want)
+			}
+		}
 	}
 }

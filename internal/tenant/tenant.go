@@ -120,10 +120,13 @@ type Tenant struct {
 	active    int       // queued + running jobs (weighted-share input)
 	throttled bool      // inside an exhaustion episode (edge tracking)
 
-	jobs      uint64 // admitted submissions
-	bytes     uint64 // accepted payload bytes
-	cacheHits uint64 // submissions served from cache
-	rejected  uint64 // throttled submissions
+	// The tenant's series, resolved once by NewRegistry. The counters are
+	// also the usage totals StatsSnapshot reports.
+	cJobs      *obs.Counter // admitted submissions
+	cBytes     *obs.Counter // accepted payload bytes
+	cCacheHits *obs.Counter // submissions served from cache
+	cThrottled *obs.Counter // throttled submissions
+	gActive    *obs.Gauge
 }
 
 // Name returns the tenant's display name.
@@ -156,14 +159,14 @@ func From(ctx context.Context) *Tenant {
 
 // Options shapes a Registry.
 type Options struct {
-	// Prefix namespaces the tenant metrics for the enforcing daemon
-	// ("ddserved_" or "ddgate_"). Required when Registry is set.
+	// Prefix namespaces the tenant metric families for the enforcing
+	// daemon ("ddserved_" or "ddgate_").
 	Prefix string
 	// Capacity is the job-queue depth the weighted shares divide. 0
 	// disables the share check (the gateway edge has no queue; only the
 	// token buckets apply there).
 	Capacity int
-	// Registry, when set, receives the tenant_* metrics.
+	// Registry receives the tenant_* metrics. Nil builds a private one.
 	Registry *obs.Registry
 	// Bus, when set, receives tenant_throttled edge events.
 	Bus *stream.Bus
@@ -175,8 +178,9 @@ type Options struct {
 // is a valid "tenancy off" instance: Resolve returns (nil, nil) and every
 // other method is a permissive no-op.
 type Registry struct {
-	opts      Options
-	sumWeight float64
+	opts       Options
+	sumWeight  float64
+	cThrottled *obs.Counter // every tenant's throttled submissions
 
 	mu     sync.Mutex
 	byKey  map[string]*Tenant
@@ -192,14 +196,28 @@ func NewRegistry(cfgs []Config, opts Options) *Registry {
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
+	if opts.Registry == nil {
+		opts.Registry = obs.NewRegistry()
+	}
+	reg, p := opts.Registry, opts.Prefix
 	r := &Registry{
-		opts:   opts,
-		byKey:  make(map[string]*Tenant, len(cfgs)),
-		byName: make(map[string]*Tenant, len(cfgs)),
+		opts:       opts,
+		cThrottled: reg.Counter(p + obs.TenantThrottled),
+		byKey:      make(map[string]*Tenant, len(cfgs)),
+		byName:     make(map[string]*Tenant, len(cfgs)),
 	}
 	now := opts.Now()
 	for _, c := range cfgs {
-		t := &Tenant{cfg: c, tokens: c.Burst, last: now}
+		t := &Tenant{
+			cfg:        c,
+			tokens:     c.Burst,
+			last:       now,
+			cJobs:      reg.Counter(obs.Series(p+obs.TenantJobs, "tenant", c.Name)),
+			cBytes:     reg.Counter(obs.Series(p+obs.TenantBytes, "tenant", c.Name)),
+			cCacheHits: reg.Counter(obs.Series(p+obs.TenantCacheHits, "tenant", c.Name)),
+			cThrottled: reg.Counter(obs.Series(p+obs.TenantThrottledBy, "tenant", c.Name)),
+			gActive:    reg.Gauge(obs.Series(p+obs.TenantActive, "tenant", c.Name)),
+		}
 		r.byKey[c.Key] = t
 		r.byName[c.Name] = t
 		r.names = append(r.names, c.Name)
@@ -262,11 +280,8 @@ func (r *Registry) Admit(t *Tenant) (retryAfter int, ok bool) {
 	if t.tokens >= 1 && t.active < r.shareLocked(t) {
 		t.tokens--
 		t.throttled = false
-		t.jobs++
 		r.mu.Unlock()
-		if reg := r.opts.Registry; reg != nil {
-			reg.Counter(obs.TenantJobsMetric(r.opts.Prefix, t.cfg.Name)).Add(1)
-		}
+		t.cJobs.Inc()
 		return 0, true
 	}
 	if t.tokens < 1 {
@@ -280,12 +295,9 @@ func (r *Registry) Admit(t *Tenant) (retryAfter int, ok bool) {
 	}
 	edge := !t.throttled
 	t.throttled = true
-	t.rejected++
 	r.mu.Unlock()
-	if reg := r.opts.Registry; reg != nil {
-		reg.Counter(obs.TenantThrottledMetric(r.opts.Prefix)).Add(1)
-		reg.Counter(obs.TenantThrottledPerMetric(r.opts.Prefix, t.cfg.Name)).Add(1)
-	}
+	r.cThrottled.Inc()
+	t.cThrottled.Inc()
 	if edge {
 		r.opts.Bus.Publish(stream.Event{
 			Type: stream.TypeTenantThrottled,
@@ -307,11 +319,8 @@ func (r *Registry) Begin(t *Tenant) {
 	}
 	r.mu.Lock()
 	t.active++
-	n := t.active
+	t.gActive.Set(int64(t.active))
 	r.mu.Unlock()
-	if reg := r.opts.Registry; reg != nil {
-		reg.Gauge(obs.TenantActiveMetric(r.opts.Prefix, t.cfg.Name)).Set(int64(n))
-	}
 }
 
 // End retires a job begun with Begin. Nil-safe.
@@ -323,11 +332,8 @@ func (r *Registry) End(t *Tenant) {
 	if t.active > 0 {
 		t.active--
 	}
-	n := t.active
+	t.gActive.Set(int64(t.active))
 	r.mu.Unlock()
-	if reg := r.opts.Registry; reg != nil {
-		reg.Gauge(obs.TenantActiveMetric(r.opts.Prefix, t.cfg.Name)).Set(int64(n))
-	}
 }
 
 // Account records usage for an admitted submission: payload bytes and
@@ -336,21 +342,11 @@ func (r *Registry) Account(t *Tenant, bytes int64, cacheHit bool) {
 	if r == nil || t == nil {
 		return
 	}
-	r.mu.Lock()
 	if bytes > 0 {
-		t.bytes += uint64(bytes)
+		t.cBytes.Add(uint64(bytes))
 	}
 	if cacheHit {
-		t.cacheHits++
-	}
-	r.mu.Unlock()
-	if reg := r.opts.Registry; reg != nil {
-		if bytes > 0 {
-			reg.Counter(obs.TenantBytesMetric(r.opts.Prefix, t.cfg.Name)).Add(uint64(bytes))
-		}
-		if cacheHit {
-			reg.Counter(obs.TenantCacheHitsMetric(r.opts.Prefix, t.cfg.Name)).Add(1)
-		}
+		t.cCacheHits.Inc()
 	}
 }
 
@@ -388,10 +384,10 @@ func (r *Registry) StatsSnapshot() []Stats {
 			Burst:     t.cfg.Burst,
 			Tokens:    math.Round(t.tokens*100) / 100,
 			Active:    t.active,
-			Jobs:      t.jobs,
-			Bytes:     t.bytes,
-			CacheHits: t.cacheHits,
-			Throttled: t.rejected,
+			Jobs:      t.cJobs.Value(),
+			Bytes:     t.cBytes.Value(),
+			CacheHits: t.cCacheHits.Value(),
+			Throttled: t.cThrottled.Value(),
 		})
 	}
 	return out

@@ -195,16 +195,16 @@ func TestMetricsAndStats(t *testing.T) {
 		t.Fatal("third admission succeeded past burst")
 	}
 
-	if v := reg.CounterValue(obs.TenantJobsMetric("ddserved_", "team a")); v != 2 {
+	if v := reg.CounterValue(obs.Series("ddserved_"+obs.TenantJobs, "tenant", "team a")); v != 2 {
 		t.Fatalf("jobs counter = %d, want 2", v)
 	}
-	if v := reg.CounterValue(obs.TenantBytesMetric("ddserved_", "team a")); v != 150 {
+	if v := reg.CounterValue(obs.Series("ddserved_"+obs.TenantBytes, "tenant", "team a")); v != 150 {
 		t.Fatalf("bytes counter = %d, want 150", v)
 	}
-	if v := reg.CounterValue(obs.TenantCacheHitsMetric("ddserved_", "team a")); v != 1 {
+	if v := reg.CounterValue(obs.Series("ddserved_"+obs.TenantCacheHits, "tenant", "team a")); v != 1 {
 		t.Fatalf("cache-hit counter = %d, want 1", v)
 	}
-	if v := reg.CounterValue(obs.TenantThrottledMetric("ddserved_")); v != 1 {
+	if v := reg.CounterValue("ddserved_" + obs.TenantThrottled); v != 1 {
 		t.Fatalf("aggregate throttle counter = %d, want 1", v)
 	}
 
